@@ -1,17 +1,20 @@
 /**
  * @file
  * End-to-end macro benchmark: host cost of one simulated access through
- * the full driver stack (WorkloadGenerator -> CoreModel -> caches ->
- * MemoryPlatform -> EventQueue), the number the figure sweeps actually
- * pay — micro_hotpaths covers the per-component costs.
+ * the full driver stack (WorkloadGenerator -> CoreModel, the one-core
+ * case of the conductor in cpu/smp_model.hh -> caches -> MemoryPlatform
+ * -> EventQueue), the number the figure sweeps actually pay —
+ * micro_hotpaths covers the per-component costs.
  *
  * Each cell runs twice on fresh, identical platforms: once with the
  * immediate-completion fast path disabled (every access pays the
- * EventQueue schedule+fire round trip) and once with it enabled. The
- * harness verifies the simulated-time outputs are bit-identical (it
- * exits non-zero otherwise, so CI smoke runs double as a correctness
- * check) and reports host-ns per platform access, allocs per access,
- * and the speedup.
+ * EventQueue schedule+fire round trip) and once with it enabled. Every
+ * run() ends with the conductor's run-boundary resync, so both halves
+ * start each measured run from the same simulated time. The harness
+ * verifies the simulated-time outputs are bit-identical (it exits
+ * non-zero otherwise, so CI smoke runs double as a correctness check)
+ * and reports host-ns per platform access, allocs per access, and the
+ * speedup.
  *
  * Results land in BENCH_macro.json (HAMS_BENCH_JSON overrides;
  * HAMS_BENCH_SCALE enlarges the runs).

@@ -32,9 +32,10 @@
  *    completion ahead of every pending event, so callers must only use
  *    the fast path when no live event is pending at or before the
  *    returned tick — the simplest sufficient gate is
- *    eventQueue().empty() at issue (what CoreModel and SmpModel use) —
- *    and should then advanceTo() the returned tick to keep now() where
- *    the fired completion event would have left it.
+ *    eventQueue().empty() at issue (what the core driver in
+ *    cpu/smp_model.hh uses) — and a lone issuer should then
+ *    advanceTo() the returned tick to keep now() where the fired
+ *    completion event would have left it.
  *
  * Hot-path contract (machine-checked)
  * -----------------------------------
@@ -60,8 +61,9 @@
  *  - Callers must issue access()/flush() calls in non-decreasing order
  *    of the issue tick across all cores (a platform applies its side
  *    effects at call time, so call order *is* simulated-time order).
- *    SmpModel's conductor drains every pending event strictly earlier
- *    than the next issue tick before issuing, which guarantees this.
+ *    With more than one core, the conductor drains every pending event
+ *    strictly earlier than the next issue tick before issuing, which
+ *    guarantees this; a lone core issues in its own tick order.
  *  - The eventQueue().empty() fast-path gate automatically accounts
  *    for other cores' pending completions: any outstanding access has
  *    a live completion event, so the queue is non-empty and the caller
@@ -112,8 +114,9 @@
  *    call delegates, so the two are interchangeable there; for a
  *    sharded platform eventQueue() is only the hub domain (cross-shard
  *    coordination events such as flush fences) and pumping it alone
- *    would starve the shards. CoreModel, SmpModel and accessSync()
- *    are all conductor clients.
+ *    would starve the shards. The core driver (SmpModel, with
+ *    CoreModel as its one-core case) and accessSync() are conductor
+ *    clients.
  *  - The inline fast-path gate becomes conductor().empty(): an access
  *    may complete inline only when NO domain has a pending event, so a
  *    routed inline completion can never race another shard's in-flight

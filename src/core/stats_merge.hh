@@ -11,7 +11,7 @@
  * structure ever saw. These helpers encode that distinction once, so
  * the sharded platform, the benches and the tests can never aggregate
  * differently (the RunResult twin lives next to finalizeRunResult in
- * cpu/core_model.hh).
+ * cpu/smp_model.hh).
  */
 
 #ifndef HAMS_CORE_STATS_MERGE_HH_

@@ -8,11 +8,18 @@ namespace hams {
 
 CacheModel::CacheModel(const CacheConfig& cfg) : cfg(cfg)
 {
-    if (cfg.ways == 0 || cfg.lineBytes == 0)
-        fatal("cache needs at least one way and a line size");
+    if (cfg.ways == 0)
+        fatal("CacheConfig::ways must be >= 1");
+    if (cfg.lineBytes == 0)
+        fatal("CacheConfig::lineBytes must be >= 1");
     std::uint64_t lines = cfg.sizeBytes / cfg.lineBytes;
+    if (lines < cfg.ways)
+        fatal("CacheConfig::sizeBytes (", cfg.sizeBytes,
+              ") must hold at least one set of ways x lineBytes (",
+              cfg.ways, " x ", cfg.lineBytes, ")");
     if (lines % cfg.ways != 0)
-        fatal("cache lines not divisible by associativity");
+        fatal("CacheConfig::ways (", cfg.ways,
+              ") must divide sizeBytes / lineBytes (", lines, ")");
     sets = static_cast<std::uint32_t>(lines / cfg.ways);
     tags.assign(std::size_t(sets) * cfg.ways, emptyTag);
     meta.assign(std::size_t(sets) * cfg.ways, Meta{});

@@ -1,124 +1,47 @@
 /**
  * @file
  * In-order core model (paper Table II: ARM v8 class at 2 GHz with
- * 64 KB L1D and 2 MB L2).
- *
- * The core retires compute instructions at a base CPI, filters memory
- * instructions through the L1/L2 tag caches, and blocks on the platform
- * for misses — the behaviour that produces the paper's IPC collapse
- * when a slow platform sits under the MMU (Fig. 7b) and the execution
- * breakdowns of Figs. 17/18.
+ * 64 KB L1D and 2 MB L2): the one-core case of the core driver in
+ * cpu/smp_model.hh, which also defines CoreConfig and RunResult.
  */
 
 #ifndef HAMS_CPU_CORE_MODEL_HH_
 #define HAMS_CPU_CORE_MODEL_HH_
 
 #include <cstdint>
-#include <string>
 
-#include "baselines/platform.hh"
-#include "cpu/cache_model.hh"
-#include "energy/cpu_power.hh"
-#include "sim/annotations.hh"
-#include "workload/workload.hh"
+#include "cpu/smp_model.hh"
 
 namespace hams {
 
-/** Core configuration. */
-struct CoreConfig
-{
-    double freqGhz = 2.0;
-    double baseCpi = 1.0;
-    CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
-    CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
-    /** Propagate dirty L2 victims to the platform (write-back). */
-    bool writebackEvictions = true;
-    /**
-     * Use MemoryPlatform::tryAccess to complete accesses inline when
-     * the event queue is empty. Simulated-time outputs are bit-identical
-     * either way (tests/test_fastpath.cc asserts it); off exists for
-     * that differential test and for before/after benchmarking.
-     */
-    bool inlineFastPath = true;
-};
-
-/** Everything a run produces. */
-struct RunResult
-{
-    std::string workload;
-    std::string platform;
-    Tick simTime = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t memInstructions = 0;
-    std::uint64_t platformAccesses = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t opsCompleted = 0;
-    std::uint64_t pagesTouched = 0;
-    Tick activeTime = 0;
-    Tick stallTime = 0;
-    LatencyBreakdown stallBreakdown; //!< platform-attributed stall time
-    Tick flushTime = 0;
-
-    double ipc = 0;
-    double opsPerSec = 0;
-    double pagesPerSec = 0;
-    double bytesPerSec = 0;
-
-    /** CPU energy (memory-side energy comes from the platform). */
-    double cpuEnergyJ = 0;
-};
-
 /**
- * Fill @p res's derived rate/energy fields from its raw counters.
- * Shared by CoreModel and SmpModel (cpu/smp_model.hh) so a per-core
- * result is finalized bit-identically by either driver; for an SMP
- * combined view the counters are sums and simTime the max core time,
- * making ipc/opsPerSec aggregate (cross-core) rates.
- */
-void finalizeRunResult(RunResult& res, double freq_ghz,
-                       const CpuPowerModel& cpu_power);
-
-/**
- * Merge @p from's raw counters into @p into: event counters sum,
- * simTime takes the max (parallel entities overlap in time, so summing
- * would double-count the wall), and the derived rate/energy fields are
- * left stale — call finalizeRunResult afterwards to rebuild them as
- * aggregate cross-entity rates. The one merge used for per-core views
- * (SmpModel::run) and per-shard views (bench scale-out tables), so the
- * two aggregations can never drift apart. Labels (workload/platform)
- * keep @p into's values.
- */
-void mergeRunResult(RunResult& into, const RunResult& from);
-
-/**
- * Drives a WorkloadGenerator against a MemoryPlatform.
+ * Drives one WorkloadGenerator against a MemoryPlatform.
  */
 class CoreModel
 {
   public:
-    CoreModel(MemoryPlatform& platform, const CoreConfig& cfg = {});
-
-    /**
-     * Execute @p instruction_budget instructions (compute + memory).
-     *
-     * The run loop is an iterative trampoline: ops retire in a flat
-     * loop, platform accesses complete inline via tryAccess when the
-     * event queue is empty, and only true misses/flushes fall back to
-     * scheduling a completion event and pumping the queue. Returns
-     * aggregate metrics.
-     */
-    HAMS_HOT_PATH RunResult run(WorkloadGenerator& gen, std::uint64_t instruction_budget);
-
-  private:
-    Tick cycles(double n) const
+    CoreModel(MemoryPlatform& platform, const CoreConfig& cfg = {})
+        : smp(platform, cfg)
     {
-        return static_cast<Tick>(n * 1000.0 / cfg.freqGhz);
     }
 
-    MemoryPlatform& platform;
-    CoreConfig cfg;
-    CpuPowerModel cpuPower;
+    /**
+     * Execute @p instruction_budget instructions (compute + memory) and
+     * return the run's metrics. A lone core always holds the horizon,
+     * so ops retire in a flat trampoline: accesses the platform
+     * completes inline (tryAccess, while the event queue is empty) cost
+     * no event, and only true misses and flushes wait on a completion
+     * event. Simulated time is resynced to the core before returning
+     * (run boundary, cpu/smp_model.hh).
+     */
+    HAMS_HOT_PATH RunResult
+    run(WorkloadGenerator& gen, std::uint64_t instruction_budget)
+    {
+        return smp.runOne(gen, instruction_budget);
+    }
+
+  private:
+    SmpModel smp;
 };
 
 } // namespace hams

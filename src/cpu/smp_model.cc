@@ -1,21 +1,57 @@
 #include "cpu/smp_model.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
 namespace hams {
 
+void
+finalizeRunResult(RunResult& res, double freq_ghz,
+                  const CpuPowerModel& cpu_power)
+{
+    if (res.simTime == 0)
+        res.simTime = 1;
+
+    double secs = ticksToSeconds(res.simTime);
+    double cycles_total =
+        static_cast<double>(res.simTime) * freq_ghz / 1000.0;
+    res.ipc = static_cast<double>(res.instructions) / cycles_total;
+    res.opsPerSec = static_cast<double>(res.opsCompleted) / secs;
+    res.pagesPerSec = static_cast<double>(res.pagesTouched) / secs;
+    res.bytesPerSec =
+        static_cast<double>(res.memInstructions) * 64.0 / secs;
+    res.cpuEnergyJ = cpu_power.energyJ(res.activeTime, res.stallTime, 1);
+}
+
+void
+mergeRunResult(RunResult& into, const RunResult& from)
+{
+    into.simTime = std::max(into.simTime, from.simTime);
+    into.instructions += from.instructions;
+    into.memInstructions += from.memInstructions;
+    into.platformAccesses += from.platformAccesses;
+    into.l1Hits += from.l1Hits;
+    into.l2Hits += from.l2Hits;
+    into.opsCompleted += from.opsCompleted;
+    into.pagesTouched += from.pagesTouched;
+    into.activeTime += from.activeTime;
+    into.stallTime += from.stallTime;
+    into.stallBreakdown += from.stallBreakdown;
+    into.flushTime += from.flushTime;
+}
+
 /**
- * Everything one core carries through a run. The vector of contexts is
- * sized once before the conductor starts, so completion callbacks may
- * capture {this, &ctx} (16 bytes, inside the inline budget).
+ * Everything one core carries through a run. Contexts are not moved
+ * while the conductor runs, so completion callbacks may capture
+ * {this, &ctx} (16 bytes, inside the inline budget).
  */
 struct SmpModel::CoreCtx
 {
-    CoreCtx(const CoreConfig& cc, WorkloadGenerator* g,
+    CoreCtx(const CoreConfig& cc, WorkloadGenerator& g,
             std::uint64_t budget)
-        : l1(cc.l1), l2(cc.l2), gen(g), budget(budget)
+        : l1(cc.l1), l2(cc.l2), gen(&g), budget(budget)
     {
     }
 
@@ -36,34 +72,84 @@ struct SmpModel::CoreCtx
 
     /** Current op, parked while its platform interaction is pending. */
     WorkloadOp op;
-    /** A dirty-L2-victim writeback was yielded mid-instruction. */
-    bool resumeAfterWb = false;
-    bool r2Hit = false; //!< saved hit/miss decision across the Wb yield
+    bool r2Hit = false; //!< saved L2 lookup behind a pending Wb
     MemAccess wb;
 };
 
-SmpModel::SmpModel(MemoryPlatform& platform, const SmpConfig& cfg)
-    : platform(platform), cfg(cfg)
+SmpModel::SmpModel(MemoryPlatform& platform, const CoreConfig& cfg)
+    : platform(platform), eq(platform.conductor()), cfg(cfg)
 {
+    if (!(cfg.freqGhz > 0) || !std::isfinite(cfg.freqGhz))
+        fatal("CoreConfig::freqGhz must be finite and > 0, got ",
+              cfg.freqGhz);
+    if (!(cfg.baseCpi >= 0) || !std::isfinite(cfg.baseCpi))
+        fatal("CoreConfig::baseCpi must be finite and >= 0, got ",
+              cfg.baseCpi);
 }
 
 void
-SmpModel::advance(CoreCtx& c)
+SmpModel::drive(CoreCtx& c, Tick horizon, bool lone)
 {
-    // Resume mid-instruction: the dirty-L2-victim writeback has been
-    // issued, the saved L2 lookup decides how the instruction ends.
-    if (c.resumeAfterWb) {
-        c.resumeAfterWb = false;
-        if (!c.r2Hit) {
-            c.pending = CoreCtx::Pending::Access;
-            return;
+    using Pending = CoreCtx::Pending;
+    for (bool picked = true;; picked = false) {
+        // Issue the interaction the core stopped at: the pick granted
+        // the first; later ones only while the pick would choose this
+        // core anyway (horizon rule).
+        if (c.pending != Pending::None) {
+            if (!picked &&
+                (c.now >= horizon || (!lone && eq.nextTick() < c.now)))
+                return;
+            Pending what = c.pending;
+            c.pending = Pending::None;
+            if (what == Pending::Access) {
+                ++c.res.platformAccesses;
+                c.issueAt = c.now;
+                InlineCompletion ic;
+                if (!(cfg.inlineFastPath && eq.empty() &&
+                      platform.tryAccess(c.op.access, c.issueAt, ic))) {
+                    c.blocked = true;
+                    platform.access(
+                        c.op.access, c.issueAt,
+                        [this, &c](Tick done, const LatencyBreakdown& bd) {
+                            onDone(c, done, &bd);
+                        });
+                    return;
+                }
+                if (lone)
+                    eq.advanceTo(ic.done);
+                c.res.stallTime += ic.done - c.issueAt;
+                c.res.stallBreakdown += ic.bd;
+                c.now = ic.done;
+            } else if (what == Pending::Wb) {
+                // Background drain of a dirty L2 victim: occupies
+                // platform resources but never stalls the core. With the
+                // queue empty the inline path applies the same side
+                // effects without parking a dead completion event.
+                InlineCompletion ic;
+                if (!(cfg.inlineFastPath && eq.empty() &&
+                      platform.tryAccess(c.wb, c.now, ic)))
+                    platform.access(c.wb, c.now, nullptr);
+                ++c.res.platformAccesses;
+                // Finish the instruction the writeback interrupted.
+                if (!c.r2Hit) {
+                    c.pending = Pending::Access;
+                    continue;
+                }
+                ++c.res.l2Hits;
+                c.now += cfg.l2.hitLatency;
+                c.res.activeTime += cfg.l2.hitLatency;
+            } else {
+                c.issueAt = c.now;
+                c.blocked = true;
+                platform.flush(c.issueAt,
+                               [this, &c](Tick done, const LatencyBreakdown&) {
+                                   onDone(c, done, nullptr);
+                               });
+                return;
+            }
         }
-        ++c.res.l2Hits;
-        c.now += cfg.core.l2.hitLatency;
-        c.res.activeTime += cfg.core.l2.hitLatency;
-    }
 
-    for (;;) {
+        // Retire the next op, up to its first platform interaction.
         if (c.res.instructions >= c.budget || !c.gen->next(c.op)) {
             c.finished = true;
             return;
@@ -71,7 +157,7 @@ SmpModel::advance(CoreCtx& c)
 
         if (c.op.computeInstructions > 0) {
             c.res.instructions += c.op.computeInstructions;
-            Tick t = cycles(c.op.computeInstructions * cfg.core.baseCpi);
+            Tick t = cycles(c.op.computeInstructions * cfg.baseCpi);
             c.now += t;
             c.res.activeTime += t;
         }
@@ -81,8 +167,8 @@ SmpModel::advance(CoreCtx& c)
             ++c.res.pagesTouched;
 
         if (c.op.flushBarrier) {
-            c.pending = CoreCtx::Pending::Flush;
-            return;
+            c.pending = Pending::Flush;
+            continue;
         }
         if (!c.op.hasAccess)
             continue;
@@ -94,119 +180,121 @@ SmpModel::advance(CoreCtx& c)
         CacheResult r1 = c.l1.access(c.op.access.addr, is_write);
         if (r1.hit) {
             ++c.res.l1Hits;
-            c.now += cfg.core.l1.hitLatency;
-            c.res.activeTime += cfg.core.l1.hitLatency;
+            c.now += cfg.l1.hitLatency;
+            c.res.activeTime += cfg.l1.hitLatency;
             continue;
         }
 
+        // L1 miss: the L1 victim (if dirty) writes into L2.
         if (r1.evictedDirty)
             c.l2.access(r1.evictedLine, /*is_write=*/true);
 
         CacheResult r2 = c.l2.access(c.op.access.addr, is_write);
-        if (r2.evictedDirty && cfg.core.writebackEvictions) {
-            // Yield the background writeback to the conductor so it
-            // lands on the platform in global tick order, then resume
-            // this instruction where CoreModel would.
+        if (r2.evictedDirty && cfg.writebackEvictions) {
+            // The dirty L2 victim's writeback goes to the platform
+            // first; the saved L2 lookup then ends the instruction.
             c.wb = MemAccess{r2.evictedLine % platform.capacity(), 64,
                              MemOp::Write};
             c.r2Hit = r2.hit;
-            c.resumeAfterWb = true;
-            c.pending = CoreCtx::Pending::Wb;
-            return;
+            c.pending = Pending::Wb;
+            continue;
         }
         if (r2.hit) {
             ++c.res.l2Hits;
-            c.now += cfg.core.l2.hitLatency;
-            c.res.activeTime += cfg.core.l2.hitLatency;
+            c.now += cfg.l2.hitLatency;
+            c.res.activeTime += cfg.l2.hitLatency;
             continue;
         }
 
-        c.pending = CoreCtx::Pending::Access;
-        return;
+        // L2 miss: the core stalls until the platform answers.
+        c.pending = Pending::Access;
     }
 }
 
 void
-SmpModel::onAccessDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd)
+SmpModel::onDone(CoreCtx& c, Tick done, const LatencyBreakdown* bd)
 {
+    // Flush time is charged to flushTime/stallTime but not to the
+    // per-category stall breakdown.
     c.blocked = false;
     c.res.stallTime += done - c.issueAt;
-    c.res.stallBreakdown += bd;
+    if (bd)
+        c.res.stallBreakdown += *bd;
+    else
+        c.res.flushTime += done - c.issueAt;
     c.now = done;
-    advance(c);
+    drive(c, /*horizon=*/0, false); // retire up to the next interaction
 }
 
 void
-SmpModel::onFlushDone(CoreCtx& c, Tick done, const LatencyBreakdown&)
+SmpModel::conduct(CoreCtx* cores, std::size_t n)
 {
-    // Flush time is charged to flushTime/stallTime but, as in
-    // CoreModel, not to the per-category stall breakdown.
-    c.blocked = false;
-    c.res.flushTime += done - c.issueAt;
-    c.res.stallTime += done - c.issueAt;
-    c.now = done;
-    advance(c);
-}
+    CoreCtx* end = cores + n;
+    bool lone = n == 1;
+    Tick start = eq.now();
+    for (CoreCtx* c = cores; c != end; ++c) {
+        c->now = start;
+        c->res.workload = c->gen->spec().name;
+        c->res.platform = platform.name();
+        drive(*c, /*horizon=*/0, false); // retire up to the first interaction
+    }
 
-void
-SmpModel::issue(CoreCtx& c)
-{
-    DomainConductor& eq = platform.conductor();
-    switch (c.pending) {
-      case CoreCtx::Pending::Wb: {
-        // Background drain of a dirty L2 victim: occupies platform
-        // resources but never stalls the core.
-        c.pending = CoreCtx::Pending::None;
-        InlineCompletion ic;
-        if (!(cfg.core.inlineFastPath && eq.empty() &&
-              platform.tryAccess(c.wb, c.now, ic)))
-            platform.access(c.wb, c.now, nullptr);
-        ++c.res.platformAccesses;
-        advance(c);
-        break;
-      }
-      case CoreCtx::Pending::Access: {
-        c.pending = CoreCtx::Pending::None;
-        ++c.res.platformAccesses;
-        c.issueAt = c.now;
-        InlineCompletion ic;
-        if (cfg.core.inlineFastPath && eq.empty() &&
-            platform.tryAccess(c.op.access, c.issueAt, ic)) {
-            // With several cores, no advanceTo(): others may still
-            // issue at ticks below ic.done (multi-outstanding
-            // contract, platform.hh). A solo conductor is the sole
-            // issuer and keeps CoreModel's semantics — without the
-            // advance, the next run() would start from a lagging
-            // eq.now() and shift every issue tick relative to the
-            // devices' absolute-tick state.
-            if (solo)
-                eq.advanceTo(ic.done);
-            c.res.stallTime += ic.done - c.issueAt;
-            c.res.stallBreakdown += ic.bd;
-            c.now = ic.done;
-            advance(c);
-            break;
+    // The pick: serve the ready core with the lowest (issue tick,
+    // index), but with several cores first let every event strictly
+    // earlier than that tick fire — a landing completion may unblock
+    // a core that belongs in front. The runner-up bounds how far the
+    // chosen core may run on (horizon rule, smp_model.hh).
+    for (;;) {
+        CoreCtx* best = nullptr;
+        CoreCtx* next = nullptr;
+        bool alive = false;
+        for (CoreCtx* c = cores; c != end; ++c) {
+            if (c->finished)
+                continue;
+            alive = true;
+            if (c->blocked)
+                continue;
+            if (!best || c->now < best->now) {
+                next = best;
+                best = c;
+            } else if (!next || c->now < next->now) {
+                next = c;
+            }
         }
-        c.blocked = true;
-        platform.access(c.op.access, c.issueAt,
-                        [this, &c](Tick done, const LatencyBreakdown& bd) {
-                            onAccessDone(c, done, bd);
-                        });
-        break;
-      }
-      case CoreCtx::Pending::Flush: {
-        c.pending = CoreCtx::Pending::None;
-        c.issueAt = c.now;
-        c.blocked = true;
-        platform.flush(c.issueAt,
-                       [this, &c](Tick done, const LatencyBreakdown& bd) {
-                           onFlushDone(c, done, bd);
-                       });
-        break;
-      }
-      case CoreCtx::Pending::None:
-        panic("smp issue: core has nothing pending");
+        if (!alive)
+            break;
+        if (!best) {
+            // Every live core is parked on a completion event.
+            if (!eq.step())
+                panic("smp run: event queue drained with blocked cores");
+            continue;
+        }
+        if (!lone && eq.nextTick() < best->now) {
+            eq.step(); // may unblock a core: re-pick
+            continue;
+        }
+        Tick horizon = !next ? maxTick : next->now + (best < next ? 1 : 0);
+        drive(*best, horizon, lone);
     }
+
+    // Resync simulated time to the cores (run boundary, smp_model.hh).
+    Tick last = start;
+    for (CoreCtx* c = cores; c != end; ++c)
+        last = std::max(last, c->now);
+    eq.runUntil(last);
+
+    for (CoreCtx* c = cores; c != end; ++c) {
+        c->res.simTime = c->now - start;
+        finalizeRunResult(c->res, cfg.freqGhz, cpuPower);
+    }
+}
+
+RunResult
+SmpModel::runOne(WorkloadGenerator& gen, std::uint64_t instruction_budget)
+{
+    CoreCtx c(cfg, gen, instruction_budget);
+    conduct(&c, 1);
+    return std::move(c.res);
 }
 
 SmpResult
@@ -214,103 +302,31 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
               std::uint64_t per_core_budget)
 {
     if (gens.empty())
-        fatal("smp run: no cores (empty generator list)");
+        fatal("SmpModel::run: gens is empty (no cores)");
 
-    SmpResult result;
-
-    // One core has no cross-core ordering to enforce; CoreModel's
-    // trampoline (inline fast path + advanceTo) is the specified
-    // behaviour, so delegate and stay bit-identical to it.
-    if (gens.size() == 1 && !cfg.forceConductor) {
-        CoreModel core(platform, cfg.core);
-        HAMS_LINT_SUPPRESS("per-run result assembly, once per run() call; not per-access work")
-        result.perCore.push_back(core.run(*gens[0], per_core_budget));
-    } else {
-        // The SMP conductor is a client of the platform's DOMAIN
-        // conductor: one delegating domain on a single device, the
-        // cross-domain interleaver on a sharded platform, so the retire
-        // loop below is oblivious to how many event queues sit under it.
-        DomainConductor& eq = platform.conductor();
-        Tick start = eq.now();
-        solo = gens.size() == 1;
-
-        std::vector<CoreCtx> ctxs;
-        ctxs.reserve(gens.size());
-        for (WorkloadGenerator* gen : gens) {
-            HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run setup")
-            ctxs.emplace_back(cfg.core, gen, per_core_budget);
-            CoreCtx& c = ctxs.back();
-            c.now = start;
-            c.res.workload = gen->spec().name;
-            c.res.platform = platform.name();
-            advance(c);
-        }
-
-        // The conductor: always serve the ready core with the lowest
-        // issue tick (core index breaks ties), but first let every
-        // event strictly earlier than that tick fire — a landing
-        // completion may unblock a core that belongs in front.
-        for (;;) {
-            CoreCtx* best = nullptr;
-            bool alive = false;
-            for (CoreCtx& c : ctxs) {
-                if (c.finished)
-                    continue;
-                alive = true;
-                if (c.blocked)
-                    continue;
-                if (!best || c.now < best->now)
-                    best = &c;
-            }
-            if (!alive)
-                break;
-            if (!best) {
-                // Every live core is parked on a completion event.
-                if (!eq.step())
-                    panic("smp run: event queue drained with ",
-                          "blocked cores");
-                continue;
-            }
-            if (eq.nextTick() < best->now) {
-                eq.step(); // may unblock a core: re-pick
-                continue;
-            }
-            issue(*best);
-        }
-
-        // Resync simulated time to the cores before returning: inline
-        // completions never advanced the queue, and the next run() on
-        // this platform starts at eq.now() — left lagging, the
-        // devices' absolute-tick busy state (DRAM bank freeAt, link
-        // busyUntil) would charge this run's tail to the next run as
-        // phantom queueing, leaking warmup into measurement. Leftover
-        // background-writeback completions at or before the end tick
-        // fire on the way (they carry no callbacks a finished core
-        // cares about); later ones stay pending, as with CoreModel.
-        Tick end = start;
-        for (const CoreCtx& c : ctxs)
-            end = std::max(end, c.now);
-        while (eq.nextTick() <= end)
-            eq.step();
-        eq.advanceTo(end);
-
-        for (CoreCtx& c : ctxs) {
-            c.res.simTime = c.now - start;
-            finalizeRunResult(c.res, cfg.core.freqGhz, cpuPower);
-            HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
-            result.perCore.push_back(std::move(c.res));
-        }
+    std::vector<CoreCtx> ctxs;
+    ctxs.reserve(gens.size());
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+        if (!gens[i])
+            fatal("SmpModel::run: gens[", i, "] is null");
+        HAMS_LINT_SUPPRESS("capacity reserved to the core count just above; per-run setup")
+        ctxs.emplace_back(cfg, *gens[i], per_core_budget);
     }
+    conduct(ctxs.data(), ctxs.size());
 
     // Aggregate view: summed counters over the longest core's time
     // (shared merge helper, so per-core and per-shard aggregation can
     // never drift apart).
+    SmpResult result;
     RunResult& comb = result.combined;
-    comb.workload = result.perCore[0].workload;
-    comb.platform = result.perCore[0].platform;
-    for (const RunResult& r : result.perCore)
-        mergeRunResult(comb, r);
-    finalizeRunResult(comb, cfg.core.freqGhz, cpuPower);
+    comb.workload = ctxs[0].res.workload;
+    comb.platform = ctxs[0].res.platform;
+    for (CoreCtx& c : ctxs) {
+        mergeRunResult(comb, c.res);
+        HAMS_LINT_SUPPRESS("per-run result assembly after the retire loop; not per-access work")
+        result.perCore.push_back(std::move(c.res));
+    }
+    finalizeRunResult(comb, cfg.freqGhz, cpuPower);
     return result;
 }
 

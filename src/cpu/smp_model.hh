@@ -1,18 +1,24 @@
 /**
  * @file
- * SMP driver: N in-order cores (paper Table II: an 8-core ARM v8 class
- * host) sharing one MemoryPlatform on one EventQueue.
+ * The core driver: N in-order cores (paper Table II: an 8-core ARM v8
+ * class host at 2 GHz with 64 KB L1D and 2 MB L2 per core) sharing one
+ * MemoryPlatform. CoreModel (cpu/core_model.hh) is its one-core case,
+ * so single- and multi-core runs share one retire loop.
  *
- * Each core owns its private L1/L2 CacheModel and its own deterministic
- * WorkloadGenerator (see makeCoreWorkload in workload/workload.hh for
- * per-core seed streams / staggered sequential shards over the shared
- * dataset). The platform — MoS tag array, persist gate, NVMe path — is
- * shared, so accesses from different cores genuinely overlap: a core
- * blocked on a miss parks on its completion event while the other
- * cores keep retiring, which is what finally drives the HAMS
- * controller's per-frame wait lists and persist-gate queue under real
- * cross-core contention (HamsStats::waiterPeakDepth /
- * gateQueuePeakDepth).
+ * Each core retires compute instructions at a base CPI, filters memory
+ * instructions through its private L1/L2 CacheModel, and blocks on the
+ * platform for misses — the behaviour that produces the paper's IPC
+ * collapse when a slow platform sits under the MMU (Fig. 7b) and the
+ * execution breakdowns of Figs. 17/18. Each core has its own
+ * deterministic WorkloadGenerator (see makeCoreWorkload in
+ * workload/workload.hh for per-core seed streams / staggered
+ * sequential shards over the shared dataset). The platform — MoS tag
+ * array, persist gate, NVMe path — is shared, so accesses from
+ * different cores genuinely overlap: a core blocked on a miss parks on
+ * its completion event while the other cores keep retiring, which is
+ * what drives the HAMS controller's per-frame wait lists and
+ * persist-gate queue under real cross-core contention
+ * (HamsStats::waiterPeakDepth / gateQueuePeakDepth).
  *
  * Ordering contract
  * -----------------
@@ -22,66 +28,126 @@
  * (ties broken by core index) and, with more than one core, first
  * drains every pending event strictly earlier than that tick — a
  * completion that lands may unblock a core whose next access belongs
- * before the one about to be issued. Same-tick ties keep CoreModel's
- * issue-then-fire order: the access is applied, then pending events at
- * that tick fire.
+ * before the one about to be issued. A lone core issues without
+ * draining. Same-tick ties issue first: the access is applied, then
+ * pending events at that tick fire.
  *
- * The SMP conductor is itself a client of the platform's
- * DomainConductor (sim/domain_conductor.hh): "pending events" above
- * means events in ANY of the platform's event-queue domains, drained
- * in global tick order with the conductor's fixed cross-domain
- * tie-break. On a single-device platform that is exactly the old
- * one-queue behaviour; on a ShardedPlatform the retire loop is
- * unchanged while M device stacks run underneath.
+ * The conductor is itself a client of the platform's DomainConductor
+ * (sim/domain_conductor.hh): "pending events" above means events in
+ * ANY of the platform's event-queue domains, drained in global tick
+ * order with the conductor's fixed cross-domain tie-break. On a
+ * single-device platform that is one queue; on a ShardedPlatform the
+ * retire loop is unchanged while M device stacks run underneath.
+ *
+ * Horizon rule
+ * ------------
+ * Issuing is a trampoline, not a round trip through the pick. After an
+ * interaction that leaves a core ready (an inline completion or a
+ * background writeback), the core keeps retiring and issuing while the
+ * pick would choose it again anyway: its (issue tick, index) is below
+ * every other ready core's — fixed while it runs, since only firing
+ * events changes other cores — and, with more than one core, no event
+ * is pending before its issue tick. With one core that is a flat loop;
+ * with N cores the issue order is exactly the pick's.
  *
  * The immediate-completion fast path stays gated on an empty event
  * queue (contract in baselines/platform.hh): any other core's
  * outstanding access holds a live completion event, so the gate
- * naturally declines and the access takes the event path. Unlike the
- * single-core trampoline the conductor does not advanceTo() after an
- * inline completion — other cores may still legally issue below the
- * completed tick.
+ * naturally declines and the access takes the event path. A lone core
+ * advanceTo()s each inline completion, keeping now() where the fired
+ * completion event would have left it (background GC scheduling reads
+ * it); with several cores it must not — other cores may still legally
+ * issue below the completed tick.
  *
- * Single-core invariant
- * ---------------------
- * With one core there is no cross-core ordering to enforce, and
- * CoreModel's trampoline is the specified behaviour — run() delegates
- * to CoreModel::run for N == 1, so a 1-core SmpModel run is
- * bit-identical (RunResult, platform stats, event interleaving) to
- * today's single-core driver. tests/test_smp.cc pins this.
+ * Run boundary
+ * ------------
+ * Before run() returns, simulated time is resynced to the cores: every
+ * event at or before the latest core's end tick fires and every domain
+ * advances to it. The next run() starts at eq.now(); left lagging, the
+ * devices' absolute-tick busy state (DRAM bank freeAt, link busyUntil)
+ * would charge this run's tail to the next run as phantom queueing,
+ * leaking warmup into measurement. Later events stay pending.
  */
 
 #ifndef HAMS_CPU_SMP_MODEL_HH_
 #define HAMS_CPU_SMP_MODEL_HH_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baselines/platform.hh"
 #include "cpu/cache_model.hh"
-#include "cpu/core_model.hh"
 #include "energy/cpu_power.hh"
 #include "sim/annotations.hh"
 #include "workload/workload.hh"
 
 namespace hams {
 
-/** SMP configuration: every core gets the same private-core config. */
-struct SmpConfig
+/** Per-core configuration; every core of a run gets the same one. */
+struct CoreConfig
 {
-    CoreConfig core;
-
+    double freqGhz = 2.0;
+    double baseCpi = 1.0;
+    CacheConfig l1{64 * 1024, 64, 4, nanoseconds(1)};
+    CacheConfig l2{2 * 1024 * 1024, 64, 8, nanoseconds(5)};
+    /** Propagate dirty L2 victims to the platform (write-back). */
+    bool writebackEvictions = true;
     /**
-     * Test hook: run the conductor even for a single core instead of
-     * delegating to CoreModel. On platforms whose events carry no
-     * state changes (every arithmetic baseline applies side effects at
-     * access() call time), simulated outputs are bit-identical either
-     * way — which is exactly what tests/test_smp.cc uses to
-     * differentially validate the conductor's retire loop against
-     * CoreModel's.
+     * Use MemoryPlatform::tryAccess to complete accesses inline when
+     * the event queue is empty. Simulated-time outputs are bit-identical
+     * either way (tests/test_fastpath.cc asserts it); off exists for
+     * that differential test and for before/after benchmarking.
      */
-    bool forceConductor = false;
+    bool inlineFastPath = true;
 };
+
+/** Everything a run produces. */
+struct RunResult
+{
+    std::string workload;
+    std::string platform;
+    Tick simTime = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t memInstructions = 0;
+    std::uint64_t platformAccesses = 0;
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t opsCompleted = 0;
+    std::uint64_t pagesTouched = 0;
+    Tick activeTime = 0;
+    Tick stallTime = 0;
+    LatencyBreakdown stallBreakdown; //!< platform-attributed stall time
+    Tick flushTime = 0;
+
+    double ipc = 0;
+    double opsPerSec = 0;
+    double pagesPerSec = 0;
+    double bytesPerSec = 0;
+
+    /** CPU energy (memory-side energy comes from the platform). */
+    double cpuEnergyJ = 0;
+};
+
+/**
+ * Fill @p res's derived rate/energy fields from its raw counters. For
+ * a combined view the counters are sums and simTime the max core time,
+ * making ipc/opsPerSec aggregate (cross-core) rates.
+ */
+void finalizeRunResult(RunResult& res, double freq_ghz,
+                       const CpuPowerModel& cpu_power);
+
+/**
+ * Merge @p from's raw counters into @p into: event counters sum,
+ * simTime takes the max (parallel entities overlap in time, so summing
+ * would double-count the wall), and the derived rate/energy fields are
+ * left stale — call finalizeRunResult afterwards to rebuild them as
+ * aggregate cross-entity rates. The one merge used for per-core views
+ * (SmpModel::run) and per-shard views (bench scale-out tables), so the
+ * two aggregations can never drift apart. Labels (workload/platform)
+ * keep @p into's values.
+ */
+void mergeRunResult(RunResult& into, const RunResult& from);
 
 /** What an N-core run produces. */
 struct SmpResult
@@ -110,45 +176,56 @@ struct SmpResult
 class SmpModel
 {
   public:
-    explicit SmpModel(MemoryPlatform& platform, const SmpConfig& cfg = {});
+    /** fatal()s on a CoreConfig field out of range (cache geometry is
+     *  checked by CacheModel when a run builds the caches). */
+    explicit SmpModel(MemoryPlatform& platform, const CoreConfig& cfg = {});
 
     /**
      * Run every generator for @p per_core_budget instructions on its
      * own core (gens.size() cores). Generators keep their stream
-     * position across calls, so warmup-then-measure works exactly like
-     * CoreModel; caches are rebuilt cold per call, also like CoreModel.
+     * position across calls, so warmup-then-measure works; caches are
+     * rebuilt cold per call.
      */
     HAMS_HOT_PATH SmpResult run(const std::vector<WorkloadGenerator*>& gens,
                   std::uint64_t per_core_budget);
 
   private:
+    friend class CoreModel;
     struct CoreCtx;
+
+    /** One core (CoreModel::run): the same loop, no per-core vectors. */
+    HAMS_HOT_PATH RunResult runOne(WorkloadGenerator& gen,
+                                   std::uint64_t instruction_budget);
 
     Tick cycles(double n) const
     {
-        return static_cast<Tick>(n * 1000.0 / cfg.core.freqGhz);
+        return static_cast<Tick>(n * 1000.0 / cfg.freqGhz);
     }
 
+    /** The conductor: pick, drive, resync and finalize @p n cores. */
+    HAMS_HOT_PATH void conduct(CoreCtx* cores, std::size_t n);
+
     /**
-     * Retire ops on @p c — compute, L1/L2 hits — until the core needs
-     * the platform (c.pending set) or exhausts its budget/stream
-     * (c.finished).
+     * The retire loop. Issues @p c's pending interaction, if any (the
+     * pick granted it), then retires ops — compute, L1/L2 hits — and
+     * issues each further platform interaction while @p c holds the
+     * horizon: its issue tick is below @p horizon and, unless it is the
+     * @p lone core, no event is pending before it. Returns when @p c
+     * waits on a completion event, finishes its budget or stream, or
+     * stops at an interaction it may not issue yet (c.pending; horizon
+     * 0 retires up to the next interaction only).
      */
-    HAMS_HOT_PATH void advance(CoreCtx& c);
+    HAMS_HOT_PATH void drive(CoreCtx& c, Tick horizon, bool lone);
 
-    /** Issue @p c's pending interaction at tick c.now. */
-    HAMS_HOT_PATH void issue(CoreCtx& c);
-
-    HAMS_HOT_PATH void onAccessDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd);
-    HAMS_HOT_PATH void onFlushDone(CoreCtx& c, Tick done, const LatencyBreakdown& bd);
+    /** Completion of @p c's event-path access (@p bd set) or flush. */
+    HAMS_HOT_PATH void onDone(CoreCtx& c, Tick done,
+                              const LatencyBreakdown* bd);
 
     MemoryPlatform& platform;
-    SmpConfig cfg;
+    /** The platform's domain conductor (sim/domain_conductor.hh). */
+    DomainConductor& eq;
+    CoreConfig cfg;
     CpuPowerModel cpuPower;
-    /** Exactly one core in the current run (forceConductor): the sole
-     *  issuer may advanceTo() after inline completions, as CoreModel
-     *  does. */
-    bool solo = false;
 };
 
 } // namespace hams

@@ -41,7 +41,7 @@ namespace hams {
 /**
  * Interleaves M event-queue domains by global tick with a fixed
  * tie-break. Exposes the driver-facing subset of the EventQueue API
- * (cpu/core_model.cc and cpu/smp_model.cc run entirely against this),
+ * (the core driver in cpu/smp_model.cc runs entirely against this),
  * so a driver cannot tell one domain from many.
  *
  * Not owning: attached queues must outlive the conductor. Attach order

@@ -12,10 +12,26 @@
 #include "core/hams_system.hh"
 #include "cpu/cache_model.hh"
 #include "cpu/core_model.hh"
+#include "sim/logging.hh"
 #include "workload/workload.hh"
 
 namespace hams {
 namespace {
+
+/** @p stmt must fatal() with a message naming @p field. */
+#define EXPECT_FATAL_NAMING(stmt, field)                                  \
+    EXPECT_THROW(                                                         \
+        {                                                                 \
+            try {                                                         \
+                stmt;                                                     \
+            } catch (const FatalError& e) {                               \
+                EXPECT_NE(std::string(e.what()).find(field),              \
+                          std::string::npos)                              \
+                    << e.what();                                          \
+                throw;                                                    \
+            }                                                             \
+        },                                                                \
+        FatalError)
 
 TEST(CacheModelTest, HitAfterMiss)
 {
@@ -55,6 +71,42 @@ TEST(CacheModelTest, FlushInvalidates)
     c.access(0, true);
     c.flush();
     EXPECT_FALSE(c.access(0, false).hit);
+}
+
+TEST(CacheModelTest, BadGeometryFatalsNamingTheField)
+{
+    EXPECT_FATAL_NAMING((void)CacheModel(CacheConfig{1024, 64, 0, 1}),
+                        "CacheConfig::ways");
+    EXPECT_FATAL_NAMING((void)CacheModel(CacheConfig{1024, 0, 2, 1}),
+                        "CacheConfig::lineBytes");
+    // One 64 B line cannot fill a 2-way set: zero sets.
+    EXPECT_FATAL_NAMING((void)CacheModel(CacheConfig{64, 64, 2, 1}),
+                        "CacheConfig::sizeBytes");
+    // Three lines do not split into 2-way sets.
+    EXPECT_FATAL_NAMING((void)CacheModel(CacheConfig{192, 64, 2, 1}),
+                        "CacheConfig::ways (2) must divide");
+}
+
+TEST(CoreModel, BadConfigFatalsNamingTheField)
+{
+    OraclePlatform oracle({1ull << 30, 2133});
+    CoreConfig zero_freq;
+    zero_freq.freqGhz = 0;
+    EXPECT_FATAL_NAMING((void)CoreModel(oracle, zero_freq),
+                        "CoreConfig::freqGhz");
+    CoreConfig negative_cpi;
+    negative_cpi.baseCpi = -1;
+    EXPECT_FATAL_NAMING((void)CoreModel(oracle, negative_cpi),
+                        "CoreConfig::baseCpi");
+}
+
+TEST(CoreModel, NullGeneratorFatalsNamingIt)
+{
+    OraclePlatform oracle({1ull << 30, 2133});
+    auto gen = makeWorkload("rndRd", 16ull << 20);
+    std::vector<WorkloadGenerator*> gens{gen.get(), nullptr};
+    SmpModel smp(oracle);
+    EXPECT_FATAL_NAMING((void)smp.run(gens, 1000), "gens[1]");
 }
 
 TEST(CoreModel, RunsBudgetedInstructions)

@@ -109,8 +109,8 @@ runShardedSmp(ShardedPlatform& sp, const std::string& workload,
                                              sp.rangeBase(shard)));
         raw.push_back(gens.back().get());
     }
-    SmpConfig cfg;
-    cfg.core.inlineFastPath = inline_on;
+    CoreConfig cfg;
+    cfg.inlineFastPath = inline_on;
     SmpModel smp(sp, cfg);
     smp.run(raw, budget / 2);
     return smp.run(raw, budget);

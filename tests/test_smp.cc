@@ -1,15 +1,16 @@
 /**
  * @file
- * SmpModel tests: a 1-core SmpModel run is bit-identical (full
- * RunResult, HamsStats, engine stats, event-queue time) to
- * CoreModel::run on the same seed; N-core runs are bit-identical
- * across reruns; contention counters (wait lists, persist gate) grow
- * with core count on a shared HAMS platform; and the per-core hit path
- * through the SMP conductor stays allocation-free.
+ * Core-driver tests: one- and N-core runs reproduce pinned fingerprints
+ * (full RunResult plus platform stats) with the fast path on and off;
+ * N-core runs are bit-identical across reruns; contention counters
+ * (wait lists, persist gate) grow with core count on a shared HAMS
+ * platform; bad inputs fatal(); and the per-core hit path through the
+ * conductor stays allocation-free.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +48,34 @@ smallMmap()
     c.pageCacheBytes = 48ull << 20;
     c.ssdRawBytes = 1ull << 30;
     return std::make_unique<MmapPlatform>(c);
+}
+
+/**
+ * A small HAMS machine whose ULL-Flash runs background GC, prefilled
+ * to 65% so the dirty evictions of a cache-overflowing write workload
+ * overwrite live LBAs and drive real collection during the run.
+ */
+std::unique_ptr<HamsSystem>
+smallHamsBgGc()
+{
+    HamsSystemConfig c = HamsSystemConfig::tightExtend();
+    c.nvdimm.capacity = 96ull << 20;
+    c.ssdRawBytes = 512ull << 20; // 8 blocks/plane: GC within reach
+    c.pinnedBytes = 32ull << 20;
+    c.functionalData = false;
+    c.ftl.backgroundGc = true;
+    auto sys = std::make_unique<HamsSystem>(c);
+
+    Ssd& ssd = sys->ullFlash();
+    PageFtl& ftl = ssd.pageFtl();
+    std::uint64_t pages = ftl.logicalPages() * 65 / 100;
+    Tick t = 0;
+    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
+        t = ftl.writePage(lpn, ssd.config().geom.pageSize, t);
+    sys->eventQueue().run(); // settle pre-run idle collection
+    ssd.flashLayer().reset(); // prefilled but idle device
+    ftl.onFlashReset();       // handles died with the FIL's registry
+    return sys;
 }
 
 void
@@ -126,146 +155,200 @@ runSmp(MemoryPlatform& platform, const std::string& workload,
 }
 
 // ---------------------------------------------------------------------
-// 1-core SmpModel == CoreModel, bit for bit.
+// Fingerprints: every field a run produces, pinned to values recorded
+// before the single-core driver was folded into the conductor (one-core
+// cells from that separate loop, N-core cells from the conductor), so
+// the shared loop must reproduce both. One constant per cell holds for
+// the inline fast path on and off. A mismatch prints the fields.
 // ---------------------------------------------------------------------
 
+/** One run's fields as "name=value" text; doubles as their bit patterns. */
+class Fingerprint
+{
+  public:
+    Fingerprint& operator()(const char* name, std::uint64_t v)
+    {
+        text += name;
+        text += '=';
+        text += std::to_string(v);
+        text += ' ';
+        return *this;
+    }
+
+    Fingerprint& operator()(const char* name, double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        return (*this)(name, bits);
+    }
+
+    Fingerprint& operator()(const RunResult& r)
+    {
+        return (*this)("simTime", r.simTime)("instr", r.instructions)(
+            "mem", r.memInstructions)("plat", r.platformAccesses)(
+            "l1", r.l1Hits)("l2", r.l2Hits)("ops", r.opsCompleted)(
+            "pages", r.pagesTouched)("active", r.activeTime)(
+            "stall", r.stallTime)("flush", r.flushTime)(
+            r.stallBreakdown)("ipc", r.ipc)("opsPerSec", r.opsPerSec)(
+            "pagesPerSec", r.pagesPerSec)("bytesPerSec", r.bytesPerSec)(
+            "cpuJ", r.cpuEnergyJ);
+    }
+
+    Fingerprint& operator()(const LatencyBreakdown& b)
+    {
+        return (*this)("os", b.os)("nvdimm", b.nvdimm)("dma", b.dma)(
+            "ssd", b.ssd)("cpu", b.cpu);
+    }
+
+    Fingerprint& operator()(HamsSystem& sys)
+    {
+        const HamsStats& s = sys.stats();
+        const NvmeEngineStats& e = sys.engineStats();
+        return (*this)("acc", s.accesses)("hits", s.hits)("misses", s.misses)(
+            "fills", s.fills)("clean", s.cleanVictims)(
+            "dirty", s.dirtyEvictions)("prp", s.prpClones)(
+            "waitQ", s.waitQueued)("redundant", s.redundantEvictionsAvoided)(
+            "gateW", s.persistGateWaits)("waitPeak", s.waiterPeakDepth)(
+            "gatePeak", s.gateQueuePeakDepth)("replayed", s.replayedCommands)(
+            "degraded", s.degradedAccesses)("restoreSt", s.restoreStalls)(
+            "recGate", s.recoveryGateWaits)(s.memoryDelay)(
+            "submitted", e.submitted)("completed", e.completed)(
+            "jSets", e.journalSets)("jClears", e.journalClears)(
+            "jReplayed", e.replayed)(sys.ullFlash().ftlStats());
+    }
+
+    Fingerprint& operator()(const FtlStats& s)
+    {
+        return (*this)("gcBatches", s.gcBatches)("gcReloc", s.gcRelocations)(
+            "erases", s.erases)("gcStalls", s.gcWriteStalls);
+    }
+
+    Fingerprint& operator()(const MmapPlatform& m)
+    {
+        return (*this)("faults", m.pageFaults())("pcHits", m.pageCacheHits())(
+            "writebacks", m.writebacks());
+    }
+
+    /** FNV-1a of the text: one constant pins every field. */
+    std::uint64_t hash() const
+    {
+        std::uint64_t h = 14695981039346656037ull;
+        for (unsigned char ch : text)
+            h = (h ^ ch) * 1099511628211ull;
+        return h;
+    }
+
+    std::string text;
+};
+
+/** Every pinned cell, fast path on then off. */
+template <typename Cell>
+void
+expectFingerprint(Cell cell, std::uint64_t expected, const std::string& what)
+{
+    for (bool inline_on : {true, false}) {
+        CoreConfig cc;
+        cc.inlineFastPath = inline_on;
+        Fingerprint f;
+        cell(cc, f);
+        EXPECT_EQ(f.hash(), expected)
+            << what << ", inline " << inline_on << ": " << f.text;
+    }
+}
+
+/** One core, one run() call (no run-boundary resync in between). */
 template <typename MakePlatform>
 void
-oneCoreDifferential(MakePlatform make, const std::string& workload,
-                    std::uint64_t budget)
+expectOneCoreFingerprint(MakePlatform make, const std::string& workload,
+                         std::uint64_t dataset, std::uint64_t budget,
+                         std::uint64_t expected)
 {
-    auto p_core = make();
-    auto p_smp = make();
-
-    auto gen_core = makeWorkload(workload, 32ull << 20);
-    CoreModel core(*p_core);
-    RunResult warm_core = core.run(*gen_core, budget / 2);
-    RunResult meas_core = core.run(*gen_core, budget);
-
-    // Core 0 of 1 must reproduce the single-core stream exactly.
-    auto gen_smp = makeCoreWorkload(workload, 32ull << 20, 0, 1);
-    std::vector<WorkloadGenerator*> gens{gen_smp.get()};
-    SmpModel smp(*p_smp);
-    SmpResult warm_smp = smp.run(gens, budget / 2);
-    SmpResult meas_smp = smp.run(gens, budget);
-
-    ASSERT_EQ(warm_smp.cores(), 1u);
-    std::string tag = workload + " on " + p_core->name();
-    expectIdentical(warm_core, warm_smp.perCore[0],
-                    (tag + " (warmup)").c_str());
-    expectIdentical(meas_core, meas_smp.perCore[0],
-                    (tag + " (measure)").c_str());
-    // The combined view of one core is that core.
-    expectIdentical(meas_smp.perCore[0], meas_smp.combined,
-                    (tag + " (combined)").c_str());
-    EXPECT_EQ(p_core->eventQueue().now(), p_smp->eventQueue().now()) << tag;
-    EXPECT_EQ(p_core->eventQueue().fired(), p_smp->eventQueue().fired())
-        << tag;
+    expectFingerprint(
+        [&](const CoreConfig& cc, Fingerprint& f) {
+            auto p = make();
+            auto gen = makeWorkload(workload, dataset);
+            CoreModel core(*p, cc);
+            f(core.run(*gen, budget))(*p);
+        },
+        expected, workload);
 }
 
-TEST(SmpOneCore, BitIdenticalToCoreModelOnMmap)
+TEST(SmpFingerprint, OneCoreMmapRndWr)
 {
-    oneCoreDifferential(smallMmap, "rndWr", 200000);
+    expectOneCoreFingerprint(smallMmap, "rndWr", 32ull << 20, 200000,
+                             0x73352f63de227a16ull);
 }
 
-TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsExtend)
+TEST(SmpFingerprint, OneCoreMmapUpdateWithFlushes)
 {
-    auto p_core = smallHams(HamsMode::Extend);
-    auto p_smp = smallHams(HamsMode::Extend);
-
-    auto gen_core = makeWorkload("update", 32ull << 20);
-    CoreModel core(*p_core);
-    RunResult warm_core = core.run(*gen_core, 200000);
-    RunResult meas_core = core.run(*gen_core, 400000);
-
-    auto gen_smp = makeCoreWorkload("update", 32ull << 20, 0, 1);
-    std::vector<WorkloadGenerator*> gens{gen_smp.get()};
-    SmpModel smp(*p_smp);
-    SmpResult warm_smp = smp.run(gens, 200000);
-    SmpResult meas_smp = smp.run(gens, 400000);
-
-    expectIdentical(warm_core, warm_smp.perCore[0], "update TE (warmup)");
-    expectIdentical(meas_core, meas_smp.perCore[0], "update TE (measure)");
-    expectIdentical(p_core->stats(), p_smp->stats(), "update HamsStats");
-    expectIdentical(p_core->engineStats(), p_smp->engineStats(),
-                    "update NvmeEngineStats");
-    EXPECT_EQ(p_core->eventQueue().now(), p_smp->eventQueue().now());
+    expectOneCoreFingerprint(smallMmap, "update", 32ull << 20, 4000000,
+                             0x4477e32a4f03b8faull);
 }
 
-TEST(SmpOneCore, BitIdenticalToCoreModelOnHamsPersist)
+TEST(SmpFingerprint, OneCoreHamsExtendUpdate)
 {
-    auto p_core = smallHams(HamsMode::Persist);
-    auto p_smp = smallHams(HamsMode::Persist);
-
-    auto gen_core = makeWorkload("rndRd", 32ull << 20);
-    CoreModel core(*p_core);
-    RunResult meas_core = core.run(*gen_core, 150000);
-
-    auto gen_smp = makeCoreWorkload("rndRd", 32ull << 20, 0, 1);
-    std::vector<WorkloadGenerator*> gens{gen_smp.get()};
-    SmpModel smp(*p_smp);
-    SmpResult meas_smp = smp.run(gens, 150000);
-
-    expectIdentical(meas_core, meas_smp.perCore[0], "rndRd TP");
-    expectIdentical(p_core->stats(), p_smp->stats(), "rndRd HamsStats");
+    expectOneCoreFingerprint([] { return smallHams(HamsMode::Extend); },
+                             "update", 32ull << 20, 4000000,
+                             0x7058b8ee2cc7a67full);
 }
 
-// ---------------------------------------------------------------------
-// Forced-conductor differential: run the SMP conductor (not the N==1
-// delegation) against CoreModel on a platform whose events carry no
-// state changes — mmap applies every side effect at access()/flush()
-// call time, so issue order (which both drivers share for one core)
-// fully determines the results and the retire loops must agree bit for
-// bit. This is what catches a CoreModel accounting change that is not
-// mirrored in SmpModel::advance.
-// ---------------------------------------------------------------------
+TEST(SmpFingerprint, OneCoreHamsPersistRndRd)
+{
+    expectOneCoreFingerprint([] { return smallHams(HamsMode::Persist); },
+                             "rndRd", 32ull << 20, 150000,
+                             0x8a08d493bf0f281eull);
+}
 
+TEST(SmpFingerprint, OneCoreHamsExtendRndWrUnderBackgroundGc)
+{
+    // Background GC schedules from now(), which the lone core's
+    // advanceTo() after each inline completion keeps current.
+    expectOneCoreFingerprint(smallHamsBgGc, "rndWr", 128ull << 20, 400000,
+                             0xc4d4f6870fdeb27cull);
+}
+
+/** N cores of hams-TE in one run(): pins the issue order. */
 void
-conductorDifferential(const std::string& workload, std::uint64_t budget,
-                      bool inline_on)
+expectMultiCoreFingerprint(const std::string& workload, std::uint32_t cores,
+                           std::uint64_t dataset, std::uint64_t budget,
+                           std::uint64_t expected)
 {
-    auto p_core = smallMmap();
-    auto p_smp = smallMmap();
-
-    auto gen_core = makeWorkload(workload, 32ull << 20);
-    CoreConfig cc;
-    cc.inlineFastPath = inline_on;
-    CoreModel core(*p_core, cc);
-    RunResult warm_core = core.run(*gen_core, budget / 2);
-    RunResult meas_core = core.run(*gen_core, budget);
-
-    auto gen_smp = makeCoreWorkload(workload, 32ull << 20, 0, 1);
-    std::vector<WorkloadGenerator*> gens{gen_smp.get()};
-    SmpConfig cfg;
-    cfg.core.inlineFastPath = inline_on;
-    cfg.forceConductor = true;
-    SmpModel smp(*p_smp, cfg);
-    SmpResult warm_smp = smp.run(gens, budget / 2);
-    SmpResult meas_smp = smp.run(gens, budget);
-
-    std::string tag = workload + " conductor vs CoreModel";
-    expectIdentical(warm_core, warm_smp.perCore[0],
-                    (tag + " (warmup)").c_str());
-    expectIdentical(meas_core, meas_smp.perCore[0],
-                    (tag + " (measure)").c_str());
-    EXPECT_EQ(p_core->pageFaults(), p_smp->pageFaults()) << tag;
-    EXPECT_EQ(p_core->pageCacheHits(), p_smp->pageCacheHits()) << tag;
-    EXPECT_EQ(p_core->writebacks(), p_smp->writebacks()) << tag;
+    expectFingerprint(
+        [&](const CoreConfig& cc, Fingerprint& f) {
+            auto sys = smallHams(HamsMode::Extend);
+            std::vector<std::unique_ptr<WorkloadGenerator>> gens;
+            std::vector<WorkloadGenerator*> raw;
+            for (std::uint32_t c = 0; c < cores; ++c) {
+                gens.push_back(makeCoreWorkload(workload, dataset, c, cores));
+                raw.push_back(gens.back().get());
+            }
+            SmpModel smp(*sys, cc);
+            SmpResult r = smp.run(raw, budget);
+            for (const RunResult& rr : r.perCore)
+                f(rr);
+            f(r.combined)(*sys);
+        },
+        expected, std::to_string(cores) + "-core " + workload);
 }
 
-TEST(SmpConductorDifferential, RndWrOnMmapMatchesCoreModel)
+TEST(SmpFingerprint, TwoCoreHamsExtendUpdate)
 {
-    conductorDifferential("rndWr", 200000, true);
+    expectMultiCoreFingerprint("update", 2, 32ull << 20, 3000000,
+                               0x3f13033fc9e91f77ull);
 }
 
-TEST(SmpConductorDifferential, UpdateWithFlushesMatchesCoreModel)
+TEST(SmpFingerprint, FourCoreHamsExtendUpdate)
 {
-    conductorDifferential("update", 600000, true);
+    expectMultiCoreFingerprint("update", 4, 32ull << 20, 3000000,
+                               0x651edb8ca33ed5baull);
 }
 
-TEST(SmpConductorDifferential, EventPathMatchesCoreModel)
+TEST(SmpFingerprint, FourCoreHamsExtendRndWrWithWritebacks)
 {
-    conductorDifferential("rndWr", 200000, false);
+    // A footprint past the L2 sends dirty victims through the
+    // conductor as background writebacks.
+    expectMultiCoreFingerprint("rndWr", 4, 128ull << 20, 200000,
+                               0xbe253ad0f390f042ull);
 }
 
 // ---------------------------------------------------------------------
@@ -284,8 +367,8 @@ rerunIdentical(const std::string& workload, HamsMode mode,
                 makeCoreWorkload(workload, 32ull << 20, c, cores));
             raw.push_back(gens.back().get());
         }
-        SmpConfig cfg;
-        cfg.core.inlineFastPath = inline_on;
+        CoreConfig cfg;
+        cfg.inlineFastPath = inline_on;
         SmpModel smp(sys, cfg);
         smp.run(raw, 100000);
         out = smp.run(raw, 200000);
@@ -377,34 +460,6 @@ TEST(SmpContention, PersistGateSerialisesAcrossCores)
 // and the hit path stays allocation-free with the engine enabled.
 // ---------------------------------------------------------------------
 
-/**
- * A small HAMS machine whose ULL-Flash runs background GC, prefilled
- * to 65% so the dirty evictions of a cache-overflowing write workload
- * overwrite live LBAs and drive real collection during the run.
- */
-std::unique_ptr<HamsSystem>
-smallHamsBgGc()
-{
-    HamsSystemConfig c = HamsSystemConfig::tightExtend();
-    c.nvdimm.capacity = 96ull << 20;
-    c.ssdRawBytes = 512ull << 20; // 8 blocks/plane: GC within reach
-    c.pinnedBytes = 32ull << 20;
-    c.functionalData = false;
-    c.ftl.backgroundGc = true;
-    auto sys = std::make_unique<HamsSystem>(c);
-
-    Ssd& ssd = sys->ullFlash();
-    PageFtl& ftl = ssd.pageFtl();
-    std::uint64_t pages = ftl.logicalPages() * 65 / 100;
-    Tick t = 0;
-    for (std::uint64_t lpn = 0; lpn < pages; ++lpn)
-        t = ftl.writePage(lpn, ssd.config().geom.pageSize, t);
-    sys->eventQueue().run(); // settle pre-run idle collection
-    ssd.flashLayer().reset(); // prefilled but idle device
-    ftl.onFlashReset();       // handles died with the FIL's registry
-    return sys;
-}
-
 SmpResult
 runBgGcSmp(HamsSystem& sys, bool inline_on)
 {
@@ -414,8 +469,8 @@ runBgGcSmp(HamsSystem& sys, bool inline_on)
         gens.push_back(makeCoreWorkload("rndWr", 128ull << 20, c, 4));
         raw.push_back(gens.back().get());
     }
-    SmpConfig cfg;
-    cfg.core.inlineFastPath = inline_on;
+    CoreConfig cfg;
+    cfg.inlineFastPath = inline_on;
     SmpModel smp(sys, cfg);
     smp.run(raw, 100000);
     return smp.run(raw, 200000);
