@@ -1,31 +1,28 @@
 /**
  * @file
- * Hotness-aware tiering sweep: zipfian skew vs a skew-oblivious cache
- * at equal DRAM (ISSUE 10).
+ * Hotness-aware tiering sweep on the mmap baseline: zipfian skew vs a
+ * skew-oblivious page cache at equal DRAM.
  *
- * {mmap, hams-TE} × zipf θ ∈ {0.6, 0.8, 0.99, 1.2} × tiering mode
- * {off, inert, tier}: a closed loop of 64 B accesses whose 4 KiB pages
- * are drawn from a Gray et al. zipfian generator over a window larger
- * than the cache. Every mode of a (platform, θ) group runs with the
- * *same* DRAM budget and FTL knobs — the only difference is the
- * TieringConfig:
+ * zipf θ ∈ {0.6, 0.8, 0.99, 1.2} × tiering mode {off, pin, mig, tier}:
+ * a closed loop of 64 B accesses whose 4 KiB pages are drawn from a
+ * Gray et al. zipfian generator over a window larger than the page
+ * cache. Every mode of a θ group runs with the *same* DRAM budget and
+ * FTL knobs — the only difference is the TieringConfig:
  *
- *  - off:   tiering.enabled = false — the pre-PR skew-oblivious LRU.
- *  - inert: tracker allocated and fed, every consumer knob off. Must
- *           be bit-identical to off (the tracker observes, never
- *           acts); the harness checks the fingerprints and the CI gate
- *           fails on any divergence.
- *  - tier:  hot-frame pinning (cold-first eviction), background
- *           promotion/demotion and cold-write FTL placement all on.
+ *  - off:  no consumer, no tracker — the skew-oblivious LRU.
+ *  - pin:  hot-frame pinning (cold-first eviction) in the page cache
+ *          and the SSD buffer only.
+ *  - mig:  background promotion/demotion in the backing SSD only.
+ *  - tier: both consumers.
  *
- * Every cell runs twice on a fresh platform; the integer-state
- * fingerprints must match (rerun_identical), at any
- * HAMS_BENCH_THREADS. The headline comparison: at high skew
- * (θ >= 0.99) the tiering cache must beat the skew-oblivious one on
- * the platform whose cache the knobs steer (mmap's page cache) — LRU
- * wastes residency on zipf-tail one-hit-wonders that the cold-first
- * selector evicts first. Results land in BENCH_tiering.json
- * (HAMS_BENCH_JSON overrides, HAMS_BENCH_SCALE enlarges the runs).
+ * pin and mig show each consumer's share of the tier gain. Every cell
+ * runs twice on a fresh platform; the integer-state fingerprints must
+ * match (rerun_identical), at any HAMS_BENCH_THREADS. Gates: at high
+ * skew (θ >= 0.99) tier must beat or match off — LRU wastes residency
+ * on zipf-tail one-hit-wonders that the cold-first selector evicts
+ * first — and the migration engine must move frames in some tier
+ * cell. Results land in BENCH_tiering.json (HAMS_BENCH_JSON
+ * overrides, HAMS_BENCH_SCALE enlarges the runs).
  */
 
 #include <algorithm>
@@ -36,7 +33,6 @@
 
 #include "baselines/mmap_platform.hh"
 #include "bench_util.hh"
-#include "core/hams_system.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "ssd/ssd.hh"
@@ -47,14 +43,19 @@ namespace {
 using namespace hams;
 using namespace hams::bench;
 
-enum class TierMode { Off, Inert, Tier };
+enum class TierMode { Off, Pin, Mig, Tier };
+
+constexpr TierMode modes[] = {TierMode::Off, TierMode::Pin, TierMode::Mig,
+                              TierMode::Tier};
+constexpr std::size_t modeCount = sizeof(modes) / sizeof(modes[0]);
 
 const char*
 modeName(TierMode m)
 {
     switch (m) {
       case TierMode::Off: return "off";
-      case TierMode::Inert: return "inert";
+      case TierMode::Pin: return "pin";
+      case TierMode::Mig: return "mig";
       case TierMode::Tier: return "tier";
     }
     return "?";
@@ -62,7 +63,6 @@ modeName(TierMode m)
 
 struct TierCell
 {
-    std::string platform; //!< mmap | hams-TE
     double theta = 0;
     TierMode mode = TierMode::Off;
 };
@@ -72,12 +72,11 @@ struct TierResult
     double opsPerSec = 0;
     double hitRate = 0;
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0; //!< page faults (mmap) / MoS misses (hams)
+    std::uint64_t misses = 0; //!< page faults
     TieringStats tier;
-    std::uint64_t tierColdWrites = 0;
     std::uint64_t hotFrames = 0; //!< tracker-hot frames at end of run
-    /** Mix of every integer observable; rerun/inert comparisons are
-     *  exact equality on this, never on derived doubles. */
+    /** Mix of every integer observable; rerun comparisons are exact
+     *  equality on this, never on derived doubles. */
     std::uint64_t fingerprint = 0;
     bool rerunIdentical = false;
 };
@@ -91,68 +90,36 @@ tieringFor(TierMode mode)
     // set grows to the same order as the contested cache.
     t.epochAccesses = 16384;
     t.hotThreshold = 2;
-    if (mode == TierMode::Off)
-        return t;
-    t.enabled = true;
-    if (mode == TierMode::Inert)
-        return t; // observe only: every consumer stays off
-    t.pinHotFrames = true;
+    t.pinHotFrames = mode == TierMode::Pin || mode == TierMode::Tier;
     t.pinScanLimit = 64;
-    t.migration = true;
+    t.migration = mode == TierMode::Mig || mode == TierMode::Tier;
     t.migScanFrames = 512;
     // The closed loop keeps the device busy every ~10-20 us of
     // simulated time, so the stock 50 us quiet window would never
     // open; shrink it so background steps interleave with the load.
     t.migIdleDelay = microseconds(2);
-    t.coldWritePlacement = true;
     return t;
 }
 
-std::unique_ptr<MemoryPlatform>
+std::unique_ptr<MmapPlatform>
 buildPlatform(const TierCell& cell, const BenchGeometry& geom)
 {
     setQuiet(true);
-    // Identical FTL knobs in every mode: streams exist so cold-write
-    // placement has somewhere to route, background GC runs the same
-    // engine with or without tiering.
-    FtlConfig ftl;
-    ftl.backgroundGc = true;
-    ftl.gcStreamBlocks = 1;
-
-    if (cell.platform == "mmap") {
-        MmapConfig c;
-        c.backend = MmapBackend::UllFlash;
-        c.dramBytes = geom.hostMemBytes;
-        // Page cache well under the zipf window so residency is the
-        // contested resource the two policies fight over: LRU wastes
-        // frames on zipf-tail one-hit-wonders streaming through.
-        c.pageCacheBytes = geom.hostMemBytes / 16;
-        c.ssdRawBytes = geom.ssdRawBytes;
-        c.ssdBufferBytes = 4ull << 20;
-        c.ftl = ftl;
-        c.tiering = tieringFor(cell.mode);
-        return std::make_unique<MmapPlatform>(c);
-    }
-
-    HamsSystemConfig c = HamsSystemConfig::tightExtend();
-    c.pinnedBytes = 32ull << 20;
-    c.nvdimm.capacity = geom.hostMemBytes + c.pinnedBytes;
+    MmapConfig c;
+    c.backend = MmapBackend::UllFlash;
+    c.dramBytes = geom.hostMemBytes;
+    // Page cache well under the zipf window so residency is the
+    // contested resource the two policies fight over: LRU wastes
+    // frames on zipf-tail one-hit-wonders streaming through.
+    c.pageCacheBytes = geom.hostMemBytes / 16;
     c.ssdRawBytes = geom.ssdRawBytes;
-    c.mosPageBytes = geom.mosPageBytes;
-    c.functionalData = false;
-    c.ftl = ftl;
+    c.ssdBufferBytes = 4ull << 20;
+    // Identical FTL knobs in every mode: background GC runs the same
+    // engine with or without tiering.
+    c.ftl.backgroundGc = true;
+    c.ftl.gcStreamBlocks = 1;
     c.tiering = tieringFor(cell.mode);
-    return std::make_unique<HamsSystem>(c);
-}
-
-Ssd&
-backingSsdOf(MemoryPlatform& p)
-{
-    if (auto* h = dynamic_cast<HamsSystem*>(&p))
-        return h->ullFlash();
-    if (auto* m = dynamic_cast<MmapPlatform*>(&p))
-        return m->backingSsd();
-    panic("fig_tiering: platform without a backing SSD");
+    return std::make_unique<MmapPlatform>(c);
 }
 
 constexpr std::uint32_t queueDepth = 4;
@@ -171,7 +138,7 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
 {
     TierResult res;
     auto platform = buildPlatform(cell, geom);
-    Ssd& ssd = backingSsdOf(*platform);
+    Ssd& ssd = platform->backingSsd();
 
     std::uint64_t window =
         std::min<std::uint64_t>(2 * geom.datasetBytes,
@@ -265,22 +232,13 @@ runOnce(const TierCell& cell, const BenchGeometry& geom,
                          });
     }
 
-    HotnessTracker* tracker = nullptr;
-    if (auto* m = dynamic_cast<MmapPlatform*>(platform.get())) {
-        res.hits = m->pageCacheHits();
-        res.misses = m->pageFaults();
-        tracker = m->hotnessTracker();
-    } else if (auto* h = dynamic_cast<HamsSystem*>(platform.get())) {
-        res.hits = h->stats().hits;
-        res.misses = h->stats().misses;
-        tracker = h->hotnessTracker();
-    }
-    if (tracker)
+    res.hits = platform->pageCacheHits();
+    res.misses = platform->pageFaults();
+    if (const HotnessTracker* tracker = platform->hotnessTracker())
         for (std::uint64_t f = 0; f < tracker->frames(); ++f)
             res.hotFrames += tracker->isHotFrame(f) ? 1 : 0;
 
     res.tier = ssd.tieringStats();
-    res.tierColdWrites = ssd.ftlStats().tierColdWrites;
     res.hitRate = res.hits + res.misses > 0
                       ? static_cast<double>(res.hits) /
                             static_cast<double>(res.hits + res.misses)
@@ -321,29 +279,25 @@ runCell(const TierCell& cell, const BenchGeometry& geom,
 int
 main()
 {
-    banner("tiering", "hotness-aware tiering vs skew-oblivious cache "
-                      "(zipf sweep at equal DRAM)");
+    banner("tiering", "hotness-aware tiering vs skew-oblivious page cache "
+                      "(mmap, zipf sweep at equal DRAM)");
     BenchGeometry geom = BenchGeometry::scaled();
     std::uint64_t warmup = 4000 * scale();
     std::uint64_t measured = 20000 * scale();
 
-    const std::vector<std::string> platforms = {"mmap", "hams-TE"};
     const std::vector<double> thetas = {0.6, 0.8, 0.99, 1.2};
 
     std::vector<TierCell> cells;
-    for (const auto& p : platforms)
-        for (double t : thetas)
-            for (TierMode m :
-                 {TierMode::Off, TierMode::Inert, TierMode::Tier})
-                cells.push_back({p, t, m});
+    for (double t : thetas)
+        for (TierMode m : modes)
+            cells.push_back({t, m});
 
     std::vector<TierResult> results(cells.size());
     try {
         runCells(
             cells.size(),
             [&](std::size_t i) {
-                return cells[i].platform + " theta " +
-                       std::to_string(cells[i].theta) + " " +
+                return "theta " + std::to_string(cells[i].theta) + " " +
                        modeName(cells[i].mode);
             },
             [&](std::size_t i) {
@@ -354,11 +308,11 @@ main()
         return 1;
     }
 
-    std::printf("\n%-8s %5s %6s %10s %7s %9s %7s %7s %9s %8s %6s\n",
-                "platform", "theta", "mode", "ops/s", "hit%", "hot",
-                "promo", "demo", "coldWr", "rerun", "inert");
+    std::printf("\n%5s %5s %10s %7s %9s %7s %7s %8s\n", "theta", "mode",
+                "ops/s", "hit%", "hot", "promo", "demo", "rerun");
 
     bool all_ok = true;
+    bool moved = false;
     std::string out = jsonOutPath("BENCH_tiering.json");
     std::FILE* f = std::fopen(out.c_str(), "w");
     if (!f) {
@@ -370,79 +324,74 @@ main()
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const TierCell& c = cells[i];
         const TierResult& r = results[i];
-        // Mode order within a (platform, theta) group is off, inert,
-        // tier — the off row anchors the two comparisons.
-        const TierResult& off = results[i - i % 3];
-        bool inert_identical =
-            c.mode != TierMode::Inert || r.fingerprint == off.fingerprint;
-        if (!r.rerunIdentical || !inert_identical)
+        if (!r.rerunIdentical)
             all_ok = false;
-        std::printf("%-8s %5.2f %6s %10.0f %6.2f%% %9llu %7llu %7llu "
-                    "%9llu %8s %6s\n",
-                    c.platform.c_str(), c.theta, modeName(c.mode),
-                    r.opsPerSec, r.hitRate * 100,
+        if (c.mode == TierMode::Tier &&
+            r.tier.promotions + r.tier.demotions > 0)
+            moved = true;
+        std::printf("%5.2f %5s %10.0f %6.2f%% %9llu %7llu %7llu %8s\n",
+                    c.theta, modeName(c.mode), r.opsPerSec,
+                    r.hitRate * 100,
                     static_cast<unsigned long long>(r.hotFrames),
                     static_cast<unsigned long long>(r.tier.promotions),
                     static_cast<unsigned long long>(r.tier.demotions),
-                    static_cast<unsigned long long>(r.tierColdWrites),
-                    r.rerunIdentical ? "ok" : "DIFF",
-                    c.mode == TierMode::Inert
-                        ? (inert_identical ? "ok" : "DIFF")
-                        : "-");
+                    r.rerunIdentical ? "ok" : "DIFF");
         std::fprintf(
             f,
-            "    {\"name\": \"tiering/%s/theta%.2f/%s\", "
+            "    {\"name\": \"tiering/mmap/theta%.2f/%s\", "
             "\"ops_per_sec\": %.1f, \"hit_rate\": %.5f, "
             "\"hits\": %llu, \"misses\": %llu, \"hot_frames\": %llu, "
             "\"promotions\": %llu, \"demotions\": %llu, "
             "\"mig_steps\": %llu, \"pace_deferrals\": %llu, "
-            "\"tier_cold_writes\": %llu, "
-            "\"fingerprint\": %llu, "
-            "\"rerun_identical\": %s, \"inert_identical\": %s}%s\n",
-            c.platform.c_str(), c.theta, modeName(c.mode), r.opsPerSec,
-            r.hitRate, static_cast<unsigned long long>(r.hits),
+            "\"fingerprint\": %llu, \"rerun_identical\": %s}%s\n",
+            c.theta, modeName(c.mode), r.opsPerSec, r.hitRate,
+            static_cast<unsigned long long>(r.hits),
             static_cast<unsigned long long>(r.misses),
             static_cast<unsigned long long>(r.hotFrames),
             static_cast<unsigned long long>(r.tier.promotions),
             static_cast<unsigned long long>(r.tier.demotions),
             static_cast<unsigned long long>(r.tier.migSteps),
             static_cast<unsigned long long>(r.tier.paceDeferrals),
-            static_cast<unsigned long long>(r.tierColdWrites),
             static_cast<unsigned long long>(r.fingerprint),
             r.rerunIdentical ? "true" : "false",
-            inert_identical ? "true" : "false",
             i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
 
-    // Headline: at high skew the tiering cache must beat (or at worst
-    // match) the skew-oblivious one at equal DRAM on the platform
-    // whose cache the knobs steer.
-    std::printf("\ntiering vs skew-oblivious cache (ops/s, equal "
+    // Headline: each consumer's share of the gain, and at high skew
+    // the tiering cache must beat (or at worst match) the
+    // skew-oblivious one at equal DRAM.
+    std::printf("\nmode vs skew-oblivious cache (ops/s ratio, equal "
                 "DRAM):\n");
-    std::printf("%-8s %5s %12s %12s %8s\n", "platform", "theta", "off",
-                "tier", "ratio");
-    for (std::size_t i = 0; i + 2 < cells.size(); i += 3) {
-        const TierResult& off = results[i];
-        const TierResult& tier = results[i + 2];
-        double ratio =
-            off.opsPerSec > 0 ? tier.opsPerSec / off.opsPerSec : 0;
-        std::printf("%-8s %5.2f %12.0f %12.0f %7.2fx\n",
-                    cells[i].platform.c_str(), cells[i].theta,
-                    off.opsPerSec, tier.opsPerSec, ratio);
-        if (cells[i].platform == "mmap" && cells[i].theta >= 0.99 &&
-            tier.opsPerSec < off.opsPerSec) {
+    std::printf("%5s %12s %7s %7s %7s\n", "theta", "off ops/s", "pin",
+                "mig", "tier");
+    for (std::size_t i = 0; i < cells.size(); i += modeCount) {
+        // A θ group holds one cell per mode, in modes[] order.
+        auto ops = [&](TierMode m) {
+            return results[i + static_cast<std::size_t>(m)].opsPerSec;
+        };
+        double off = ops(TierMode::Off);
+        auto ratio = [&](TierMode m) { return off > 0 ? ops(m) / off : 0; };
+        std::printf("%5.2f %12.0f %6.3fx %6.3fx %6.3fx\n", cells[i].theta,
+                    off, ratio(TierMode::Pin), ratio(TierMode::Mig),
+                    ratio(TierMode::Tier));
+        if (cells[i].theta >= 0.99 && ops(TierMode::Tier) < off) {
             std::printf("  ^ FAIL: tiering below skew-oblivious at "
                         "high skew\n");
             all_ok = false;
         }
     }
+    if (!moved) {
+        std::printf("FAIL: the migration engine never moved a frame in "
+                    "any tier cell\n");
+        all_ok = false;
+    }
 
     std::printf("\nResults written to %s\n", out.c_str());
     if (!all_ok) {
-        std::fprintf(stderr, "fig_tiering: determinism or high-skew "
-                             "gate violated\n");
+        std::fprintf(stderr, "fig_tiering: determinism, high-skew or "
+                             "migration gate violated\n");
         return 1;
     }
     return 0;

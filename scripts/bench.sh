@@ -21,9 +21,10 @@
 #                            exits non-zero if the doubled sweep diverges
 # scaleout   fig_scaleout    N cores x M sharded stacks; exits non-zero if
 #                            M=1 or an M=4 rerun diverges
-# tiering    fig_tiering     tiering off / inert / tier under zipfian
-#                            skew; exits non-zero on a rerun or inert
-#                            divergence, or tiering losing at high skew
+# tiering    fig_tiering     mmap tiering off / pin / mig / tier under
+#                            zipfian skew; exits non-zero on a rerun
+#                            divergence, tiering losing at high skew, or
+#                            migration never moving a frame
 
 set -euo pipefail
 

@@ -80,14 +80,14 @@ MmapPlatform::MmapPlatform(const MmapConfig& cfg)
 
     _capacity = ssd->capacityBytes();
 
-    if (cfg.tiering.enabled) {
-        // One tracker spans the file; page-cache keys, SSD LBAs and
-        // FTL LPN groups all resolve to the same 4 KiB frames.
+    if (cfg.tiering.enabled()) {
+        // One tracker spans the file; page-cache keys and SSD LBAs
+        // both resolve to the same 4 KiB frames.
         hotness = std::make_unique<HotnessTracker>(_capacity, cfg.tiering);
         if (cfg.tiering.pinHotFrames)
-            cacheTags->setVictimSelector(makeColdFirstSelector(
-                *hotness, nvmeBlockSize, cfg.tiering.pinScanLimit));
-        ssd->attachTiering(hotness.get(), cfg.tiering);
+            cacheTags->setVictimSelector(
+                makeColdFirstSelector(*hotness, cfg.tiering.pinScanLimit));
+        ssd->attachTiering(*hotness, cfg.tiering);
     }
 }
 

@@ -70,12 +70,13 @@ struct MmapConfig
     FtlConfig ftl;
 
     /**
-     * Hotness-aware tiering (core/hotness_tracker.hh): the platform
-     * owns a tracker over the file span, feeds it from serve() and
-     * wires the knobs into the page-cache LRU (pinHotFrames) and the
-     * backing SSD (migration, coldWritePlacement). Default-inert.
-     * With migration on the platform stops opting into inline
-     * completion, exactly like backgroundGc — see tryAccess().
+     * Hotness-aware tiering (core/hotness_tracker.hh). When a consumer
+     * is on, the platform owns a tracker over the file span, feeds it
+     * from serve() and wires pinHotFrames into the page-cache LRU and
+     * the backing SSD's buffer, and migration into the backing SSD.
+     * All off (the default) builds no tracker. With migration on the
+     * platform stops opting into inline completion, exactly like
+     * backgroundGc — see tryAccess().
      */
     TieringConfig tiering;
 };
@@ -105,7 +106,7 @@ class MmapPlatform : public MemoryPlatform
     std::uint64_t pageCacheHits() const { return _hits; }
     std::uint64_t writebacks() const { return _writebacks; }
     Ssd& backingSsd() { return *ssd; }
-    /** Hotness tracker, or null when cfg.tiering.enabled is false. */
+    /** Hotness tracker, or null when no tiering consumer is on. */
     HotnessTracker* hotnessTracker() { return hotness.get(); }
     ///@}
 

@@ -60,8 +60,6 @@ HamsController::access(const MemAccess& acc, const std::uint8_t* wdata,
         fatal("MoS access crosses a page boundary; split it upstream");
 
     ++_stats.accesses;
-    if (hotness)
-        hotness->touch(acc.addr);
     std::uint64_t idx = tags.indexOf(acc.addr);
     MosTagEntry& e = tags.entry(idx);
 
@@ -123,8 +121,6 @@ HamsController::tryAccess(const MemAccess& acc, Tick at,
     // A hit on an idle frame: the same arithmetic as handleHit +
     // serveFromFrame, minus the Op context and the completion event.
     ++_stats.accesses;
-    if (hotness)
-        hotness->touch(acc.addr);
     ++_stats.hits;
     Tick t = at + cfg.logicLatency;
     Addr line = frameAddr(idx) + acc.addr % cfg.pageBytes;

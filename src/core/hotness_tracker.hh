@@ -1,23 +1,30 @@
 /**
  * @file
  * Decaying access-frequency/recency monitor and the tiering knobs it
- * feeds — the CHMU-style hotness signal behind hot-frame pinning,
- * background promotion/demotion and hot/cold-aware FTL placement.
+ * feeds — the CHMU-style hotness signal behind the mmap baseline's two
+ * tiering consumers: hot-frame pinning (cold-first eviction) in the
+ * page cache and the SSD-internal buffer, and the backing SSD's
+ * background promotion/demotion. The platform builds a tracker only
+ * when a consumer is on (TieringConfig::enabled()).
+ *
+ * HAMS itself carries no tracker: the paper's MoS is a direct-mapped
+ * cache with no replacement choice for a hotness policy to steer.
  *
  * ## Decay/epoch contract
  *
- * The tracker keeps one saturating 16-bit counter per frame in a table
- * pre-sized at construction (no growth, ever). Time is measured in
- * *epochs*: a global epoch counter advances once every
- * TieringConfig::epochAccesses touches. Counters are not swept when an
- * epoch turns — that would cost O(frames) on the hot path — instead
- * each entry carries the epoch stamp of its last touch and decays
- * *lazily*: a reader right-shifts the stored count by the number of
- * epochs elapsed since the stamp (a halving per epoch, clamped so
- * shifts >= 16 read as zero). touch() applies the same decay, then
- * saturating-increments and restamps. The observable value of a frame
- * is therefore always `count >> (epoch - stamp)` — frequency with
- * exponential recency decay — and two runs issuing the same touch
+ * The tracker keeps one saturating 16-bit counter per 4 KiB frame
+ * (nvmeBlockSize, so page-cache keys, SSD LBAs and tracker frames
+ * coincide) in a table pre-sized at construction (no growth, ever).
+ * Time is measured in *epochs*: a global epoch counter advances once
+ * every TieringConfig::epochAccesses touches. Counters are not swept
+ * when an epoch turns — that would cost O(frames) on the hot path —
+ * instead each entry carries the epoch stamp of its last touch and
+ * decays *lazily*: a reader right-shifts the stored count by the
+ * number of epochs elapsed since the stamp (a halving per epoch,
+ * clamped so shifts >= 16 read as zero). touch() applies the same
+ * decay, then saturating-increments and restamps. The observable value
+ * of a frame is therefore always `count >> (epoch - stamp)` — frequency
+ * with exponential recency decay — and two runs issuing the same touch
  * sequence read bit-identical values at every point: the tracker is
  * pure integer state driven only by the access stream.
  *
@@ -27,45 +34,30 @@
  * couple of epochs to qualify — a working-set membership test, not a
  * lifetime popularity contest.
  *
- * Hot-path discipline: touch()/isHotAddr() are O(1), allocation-free,
+ * Hot-path discipline: touch()/isHotFrame() are O(1), allocation-free,
  * probe no hash and take no locks; the table is plain contiguous
- * memory. Power failure clears the tracker (clear()) — hotness is
- * volatile advice, never durable state, so losing it affects
- * performance only, never correctness.
+ * memory.
  */
 
 #ifndef HAMS_CORE_HOTNESS_TRACKER_HH_
 #define HAMS_CORE_HOTNESS_TRACKER_HH_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "nvme/nvme_types.hh"
 #include "sim/annotations.hh"
 #include "sim/types.hh"
 
 namespace hams {
 
 /**
- * Tiering knobs, documented FtlConfig-style: every consumer has its own
- * enable so the signal and each policy acting on it can be toggled
- * independently. All defaults OFF — a default-constructed TieringConfig
- * is inert and the simulated outputs are bit-identical to a build
- * without the subsystem.
+ * Tiering knobs, documented FtlConfig-style: each consumer has its own
+ * enable. All defaults OFF — a default-constructed TieringConfig builds
+ * no tracker and the simulated outputs are those of a plain LRU cache.
  */
 struct TieringConfig
 {
-    /** Master switch: allocate the tracker and feed it every access.
-     *  Off, nothing below applies and no tracker exists. On with every
-     *  consumer knob off, the tracker observes but never acts — the
-     *  differential tests pin that this is output-inert. */
-    bool enabled = false;
-
-    /** Tracking granularity in bytes (one counter per frame). Keep it
-     *  at the 4 KiB NVMe block so cache keys, FTL LPN groups and
-     *  tracker frames coincide. */
-    std::uint32_t frameBytes = 4096;
-
     /** Touches per epoch: the decay clock. Smaller = faster forgetting
      *  (recency-biased), larger = frequency-biased. */
     std::uint32_t epochAccesses = 4096;
@@ -90,40 +82,35 @@ struct TieringConfig
      *  reaches the SSD must decline tryAccess() while this is on. */
     bool migration = false;
 
-    /** Frames promoted/demoted per migration step. */
-    std::uint32_t migBatchFrames = 4;
-
     /** Tracker frames scanned per migration step while hunting for
-     *  candidates (bounds per-step work on large devices). */
+     *  candidates (bounds per-step work on large devices). Must be
+     *  non-zero when migration is on. */
     std::uint32_t migScanFrames = 256;
 
     /** Quiet window after the last host op before a migration step
      *  fires (idle-time tiering, like the FTL's gcIdleThreshold). */
     Tick migIdleDelay = microseconds(50);
 
-    /** Consumer 3: hot/cold-aware FTL placement at write time — hot
-     *  writes share the active block, cold writes pack into the
-     *  gcStreamBlocks relocation stream so GC victims are born
-     *  segregated. Requires FtlConfig::gcStreamBlocks > 0 to act. */
-    bool coldWritePlacement = false;
+    /** True when some consumer is on, i.e. a tracker is needed. */
+    bool enabled() const { return pinHotFrames || migration; }
 };
 
 /**
  * Per-frame decaying hotness monitor (see the file header for the
- * decay/epoch contract). Pre-sized at construction; all methods are
- * O(1) except the cold-path extraction helpers.
+ * decay/epoch contract). Pre-sized at construction; every method is
+ * O(1).
  */
 class HotnessTracker
 {
   public:
-    /** Track @p span_bytes of address space at cfg.frameBytes grain. */
+    /** Track @p span_bytes of address space at nvmeBlockSize grain. */
     HotnessTracker(std::uint64_t span_bytes, const TieringConfig& cfg);
 
     /** Record one access to @p addr (decay + saturating increment). */
     HAMS_HOT_PATH void
     touch(Addr addr)
     {
-        std::uint64_t frame = addr / cfg.frameBytes;
+        std::uint64_t frame = addr / nvmeBlockSize;
         if (frame >= entries.size())
             return; // folded/out-of-span addresses carry no signal
         Entry& e = entries[frame];
@@ -135,7 +122,7 @@ class HotnessTracker
             ++c;
         e.count = c;
         e.stamp = _epoch;
-        if (++sinceEpoch >= cfg.epochAccesses) {
+        if (++sinceEpoch >= epochAccesses) {
             sinceEpoch = 0;
             ++_epoch;
         }
@@ -156,33 +143,11 @@ class HotnessTracker
     HAMS_HOT_PATH bool
     isHotFrame(std::uint64_t frame) const
     {
-        return frame < entries.size() &&
-               countOf(frame) >= cfg.hotThreshold;
-    }
-
-    /** isHotFrame() of the frame containing @p addr. */
-    HAMS_HOT_PATH bool
-    isHotAddr(Addr addr) const
-    {
-        return isHotFrame(addr / cfg.frameBytes);
+        return frame < entries.size() && countOf(frame) >= hotThreshold;
     }
 
     std::uint64_t frames() const { return entries.size(); }
-    std::uint64_t frameOf(Addr addr) const { return addr / cfg.frameBytes; }
     std::uint32_t epoch() const { return _epoch; }
-    const TieringConfig& config() const { return cfg; }
-
-    /**
-     * CHMU-style top-range extraction: coalesce currently-hot frames
-     * into [first, count) runs, ascending. Cold path (migration steps,
-     * tests); @p out is reused scratch.
-     */
-    HAMS_COLD_PATH void
-    hotRanges(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out)
-        const;
-
-    /** Forget everything (power failure: hotness is volatile advice). */
-    HAMS_COLD_PATH void clear();
 
   private:
     /** One frame: last-touch epoch stamp + saturating counter. */
@@ -192,7 +157,8 @@ class HotnessTracker
         std::uint32_t stamp = 0;
     };
 
-    TieringConfig cfg;
+    std::uint32_t epochAccesses;
+    std::uint16_t hotThreshold;
     std::vector<Entry> entries;
     std::uint32_t _epoch = 0;
     std::uint32_t sinceEpoch = 0;

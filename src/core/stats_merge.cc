@@ -56,7 +56,6 @@ mergeFtlStats(FtlStats& into, const FtlStats& from)
     into.gcForegroundOverlap += from.gcForegroundOverlap;
     into.gcStreamBlocks += from.gcStreamBlocks;
     into.gcQualityDeferrals += from.gcQualityDeferrals;
-    into.tierColdWrites += from.tierColdWrites;
     into.tierBgReads += from.tierBgReads;
     into.tierBgWrites += from.tierBgWrites;
     // Pacer levels are instantaneous/peak readings per shard, not

@@ -90,8 +90,6 @@
 
 namespace hams {
 
-class HotnessTracker;
-
 /** FTL tuning knobs. */
 struct FtlConfig
 {
@@ -184,10 +182,8 @@ struct FtlStats
     std::uint32_t paceLevelMax = 0;
     ///@}
 
-    /** @name Tiering (core/hotness_tracker.hh consumers). */
+    /** @name Tiering migration (Ssd::attachTiering()). */
     ///@{
-    /** Host writes routed into the relocation stream as cold. */
-    std::uint64_t tierColdWrites = 0;
     /** Background promotion reads issued for tiering. */
     std::uint64_t tierBgReads = 0;
     /** Background demotion writes issued for tiering. */
@@ -212,19 +208,6 @@ class PageFtl
      * synchronous. The queue must outlive the FTL.
      */
     void attachEventQueue(EventQueue* q) { eq = q; }
-
-    /**
-     * Give the FTL a hotness signal for write-time placement
-     * (TieringConfig::coldWritePlacement): host writes whose LPN the
-     * tracker does NOT consider hot are packed into the per-unit
-     * gcStreamBlocks relocation stream (when configured and the unit
-     * has watermark headroom), so GC victims are born hot/cold
-     * segregated instead of only separating retroactively at GC time.
-     * Null (the default) keeps placement bit-identical to before. The
-     * tracker must outlive the FTL; LPNs map to tracker addresses as
-     * lpn * geom.pageSize.
-     */
-    void attachHotness(const HotnessTracker* h) { hotness = h; }
 
     /** True when GC runs as background events. */
     bool
@@ -493,18 +476,11 @@ class PageFtl
      * Allocate the next physical page on @p pu. Foreground callers
      * (for_gc == false) trigger GC when needed — inline in synchronous
      * mode, kick-and-continue (or stall at the reserve) in background
-     * mode. GC relocation (for_gc == true) may dip into the reserve.
-     * Cold foreground writes (cold == true, from the hotness signal)
-     * are packed into the unit's relocation stream best-effort: only
-     * while the unit has watermark headroom, never changing when GC
-     * triggers or backpressure stalls, falling through to the shared
-     * active path otherwise.
+     * mode. GC relocation (for_gc == true) may dip into the reserve,
+     * and packs into the unit's relocation stream when
+     * cfg.gcStreamBlocks > 0; foreground writes never use the stream.
      */
-    HAMS_HOT_PATH std::uint64_t allocate(std::uint64_t pu, Tick& at, bool for_gc = false,
-                                         bool cold = false);
-
-    /** True when the placement signal marks @p lpn cold (off = never). */
-    HAMS_HOT_PATH bool isColdLpn(std::uint64_t lpn) const;
+    HAMS_HOT_PATH std::uint64_t allocate(std::uint64_t pu, Tick& at, bool for_gc = false);
 
     /** Pop a free block for @p pu (wear-aware, O(log n)). */
     HAMS_HOT_PATH std::uint32_t takeFreeBlock(Unit& u, std::uint64_t pu);
@@ -666,9 +642,6 @@ class PageFtl
     std::uint64_t _logicalPages;
     std::uint64_t nextPu = 0; //!< round-robin write striping
     bool inGc = false;        //!< guards against GC re-entrancy
-
-    /** Write-time placement signal (null = placement off). */
-    const HotnessTracker* hotness = nullptr;
 
     /** @name Background-GC engine state. */
     ///@{

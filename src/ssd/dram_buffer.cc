@@ -225,20 +225,19 @@ DramBuffer::dirtyFrames(std::vector<std::uint64_t>& out) const
 }
 
 DramBuffer::VictimSelector
-makeColdFirstSelector(const HotnessTracker& hot, std::uint64_t key_bytes,
-                      std::uint32_t scan_limit)
+makeColdFirstSelector(const HotnessTracker& hot, std::uint32_t scan_limit)
 {
     // The lambda runs per eviction on the hot path via InlineFunction
     // type erasure (audited manually per the annotations policy): it
     // walks bounded LRU links and probes the tracker — no allocation,
     // no hash, pure integer reads.
     const HotnessTracker* h = &hot;
-    return [h, key_bytes, scan_limit](const DramBuffer& buf)
+    return [h, scan_limit](const DramBuffer& buf)
                -> std::uint32_t {
         std::uint32_t n = buf.lruTailNode();
         for (std::uint32_t i = 0; i < scan_limit && n != DramBuffer::nilNode;
              ++i, n = buf.lruPrevNode(n)) {
-            if (!h->isHotAddr(buf.nodeKey(n) * key_bytes))
+            if (!h->isHotFrame(buf.nodeKey(n)))
                 return n;
         }
         return DramBuffer::nilNode; // all-hot window: exact LRU tail

@@ -59,22 +59,18 @@ Ssd::destage(std::uint64_t block)
 }
 
 void
-Ssd::attachTiering(const HotnessTracker* tracker, const TieringConfig& tiering)
+Ssd::attachTiering(const HotnessTracker& tracker, const TieringConfig& tiering)
 {
-    tier = tracker;
+    // A step that scans nothing never completes its wrap and would
+    // reschedule itself forever.
+    if (tiering.migration && tiering.migScanFrames == 0)
+        fatal("TieringConfig::migScanFrames must be non-zero when "
+              "migration is on");
+    tier = &tracker;
     tcfg = tiering;
-    if (!tracker || !tiering.enabled) {
-        if (buf)
-            buf->setVictimSelector({});
-        ftl->attachHotness(nullptr);
-        migOn = false;
-        return;
-    }
     if (tiering.pinHotFrames && buf)
-        buf->setVictimSelector(makeColdFirstSelector(
-            *tracker, nvmeBlockSize, tiering.pinScanLimit));
-    if (tiering.coldWritePlacement)
-        ftl->attachHotness(tracker);
+        buf->setVictimSelector(
+            makeColdFirstSelector(tracker, tiering.pinScanLimit));
     // Migration needs an event queue for background steps and a buffer
     // to promote into / demote out of.
     migOn = tiering.migration && eq != nullptr && buf != nullptr;
@@ -187,12 +183,12 @@ Ssd::migStep()
         std::min<std::uint64_t>(tcfg.migScanFrames, frames);
     std::uint32_t moved = 0;
     Tick done = now;
-    for (std::uint64_t i = 0; i < scan && moved < tcfg.migBatchFrames &&
+    for (std::uint64_t i = 0; i < scan && moved < migBatchFrames &&
                               migScanned < frames;
          ++i, ++migScanned) {
         std::uint64_t block = migCursor;
         migCursor = migCursor + 1 == frames ? 0 : migCursor + 1;
-        bool hot = tier->isHotAddr(block * nvmeBlockSize);
+        bool hot = tier->isHotFrame(block);
         if (hot && !buf->contains(block)) {
             Tick t = migPromote(block, now);
             if (t > now)

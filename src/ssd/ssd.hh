@@ -309,16 +309,13 @@ class Ssd
     HAMS_COLD_PATH void powerRestore();
 
     /**
-     * Wire hotness-aware tiering consumers into the device. The
+     * Wire the hotness-aware tiering consumers into the device. The
      * tracker is owned by the platform (it sees host accesses; the
-     * device only reads it) and must outlive the device, or be
-     * detached with a null @p tracker first.
+     * device only reads it) and must stay alive while the device runs.
      *
      * Per TieringConfig knob:
      *  - `pinHotFrames`: installs a cold-first victim selector on the
      *    internal DRAM buffer (hot frames skipped near the LRU tail).
-     *  - `coldWritePlacement`: the FTL consults the tracker at write
-     *    time and routes cold writes into the GC relocation stream.
      *  - `migration`: arms the background promote/demote engine. It
      *    follows the FTL's idle-GC discipline: host completions arm a
      *    single pending event, each step runs only after
@@ -327,9 +324,10 @@ class Ssd
      *    finds no candidates or the GC free pool is inside its
      *    watermark band — so the event queue always drains. Requires
      *    the constructor's event queue and an internal buffer;
-     *    silently stays off without them.
+     *    silently stays off without them. Fatal when
+     *    `migScanFrames` is 0 (a step would scan nothing, forever).
      */
-    HAMS_COLD_PATH void attachTiering(const HotnessTracker* tracker,
+    HAMS_COLD_PATH void attachTiering(const HotnessTracker& tracker,
                                       const TieringConfig& tiering);
 
     /** Background migration engine armed (platform inline paths that
@@ -411,6 +409,9 @@ class Ssd
      * goes quiet.
      */
     ///@{
+    /** Frames promoted/demoted per migration step. */
+    static constexpr std::uint32_t migBatchFrames = 4;
+
     EventQueue* eq = nullptr;
     const HotnessTracker* tier = nullptr;
     TieringConfig tcfg;

@@ -459,16 +459,14 @@ TEST(CrashFuzz, SsdMidMigrationCuts)
     Ssd ssd(cfg, &eq);
 
     TieringConfig tcfg;
-    tcfg.enabled = true;
     tcfg.epochAccesses = 1024;
     tcfg.hotThreshold = 2;
     tcfg.pinHotFrames = true;
     tcfg.migration = true;
     tcfg.migIdleDelay = microseconds(1);
     tcfg.migScanFrames = 64;
-    tcfg.coldWritePlacement = true;
     HotnessTracker tracker(ssd.capacityBytes(), tcfg);
-    ssd.attachTiering(&tracker, tcfg);
+    ssd.attachTiering(tracker, tcfg);
     ASSERT_TRUE(ssd.migrationEnabled());
 
     FaultInjector inj(eq, 31337);
@@ -551,7 +549,9 @@ TEST(CrashFuzz, SsdMidMigrationCuts)
         ssd.powerFail(0);
         inj.noteCut();
         ++cuts;
-        tracker.clear(); // hotness is volatile advice
+        // Hotness is volatile advice: the cut forgets it. Assigning in
+        // place keeps the address the SSD holds.
+        tracker = HotnessTracker(ssd.capacityBytes(), tcfg);
         ssd.powerRestore();
 
         // --- Recovery sweep.
