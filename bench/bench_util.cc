@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -20,14 +24,43 @@
 
 namespace hams::bench {
 
+namespace {
+
+/**
+ * Environment variable @p var as a positive decimal integer no larger
+ * than @p max, or @p fallback when it is unset. Any other value is a
+ * fatal that names the variable.
+ */
+std::uint64_t
+positiveEnv(const char* var, std::uint64_t fallback, std::uint64_t max)
+{
+    const char* env = std::getenv(var);
+    if (!env)
+        return fallback;
+    std::size_t digits = std::strspn(env, "0123456789");
+    errno = 0;
+    unsigned long long v = std::strtoull(env, nullptr, 10);
+    if (digits == 0 || env[digits] != '\0' || errno == ERANGE || v == 0)
+        fatal(var, "='", env, "' is not a positive decimal integer");
+    if (v > max)
+        fatal(var, "=", v, " overflows the scaled bench geometry (at most ",
+              max, ")");
+    return v;
+}
+
+} // namespace
+
 std::uint64_t
 scale()
 {
-    const char* env = std::getenv("HAMS_BENCH_SCALE");
-    if (!env)
-        return 1;
-    std::uint64_t s = std::strtoull(env, nullptr, 10);
-    return s == 0 ? 1 : s;
+    // Every scaled quantity — byte sizes and instruction budgets — is
+    // a BenchGeometry default times the scale, at most the largest.
+    const BenchGeometry base;
+    std::uint64_t largest =
+        std::max({base.datasetBytes, base.hostMemBytes, base.ssdRawBytes,
+                  base.instructionBudget});
+    return positiveEnv("HAMS_BENCH_SCALE", 1,
+                       std::numeric_limits<std::uint64_t>::max() / largest);
 }
 
 BenchGeometry
@@ -187,14 +220,10 @@ runCells(std::size_t count,
          const std::function<std::string(std::size_t)>& label,
          const std::function<void(std::size_t)>& body)
 {
-    std::size_t workers = std::thread::hardware_concurrency();
-    if (const char* env = std::getenv("HAMS_BENCH_THREADS")) {
-        std::uint64_t n = std::strtoull(env, nullptr, 10);
-        if (n > 0)
-            workers = static_cast<std::size_t>(n);
-    }
-    if (workers == 0)
-        workers = 1;
+    std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    auto workers = static_cast<std::size_t>(
+        positiveEnv("HAMS_BENCH_THREADS", hw,
+                    std::numeric_limits<std::uint64_t>::max()));
     workers = std::min(workers, count);
 
     auto annotate = [&](std::size_t i, const char* what) {
@@ -410,6 +439,165 @@ jsonOutPath(const std::string& fallback)
 {
     const char* env = std::getenv("HAMS_BENCH_JSON");
     return env && *env ? std::string(env) : fallback;
+}
+
+std::string
+strf(const char* fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::va_list again;
+    va_copy(again, args);
+    int n = std::vsnprintf(nullptr, 0, fmt, args);
+    va_end(args);
+    std::string out(static_cast<std::size_t>(std::max(n, 0)), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
+namespace {
+
+/** Length modifier and conversion of a one-conversion printf format:
+ *  "s", "f", "llu". */
+std::string
+conversionOf(const char* fmt)
+{
+    const char* p = std::strchr(fmt, '%');
+    while (p && p[1] == '%')
+        p = std::strchr(p + 2, '%');
+    if (!p)
+        return {};
+    p += 1 + std::strspn(p + 1, "-+ #0123456789.");
+    return std::string(p, std::strspn(p, "l") + 1);
+}
+
+/** @p v through @p fmt; strings come out quoted for JSON. */
+std::string
+render(const char* fmt, const Report::Value& v, bool json,
+       const char* column)
+{
+    using Kind = Report::Value::Kind;
+    const char* want = v.kind == Kind::Real   ? "f"
+                       : v.kind == Kind::Uint ? "llu"
+                                              : "s";
+    if (conversionOf(fmt) != want)
+        throw std::logic_error(std::string("bench report column '") +
+                               column + "': format '" + fmt +
+                               "' does not take a %" + want + " value");
+    switch (v.kind) {
+      case Kind::Str: {
+        std::string s = strf(fmt, v.str.c_str());
+        if (!json)
+            return s;
+        std::string quoted = "\"";
+        for (char c : s) {
+            if (c == '"' || c == '\\')
+                quoted += '\\';
+            quoted += c;
+        }
+        return quoted + '"';
+      }
+      case Kind::Bool:
+        return strf(fmt, json ? (v.flag ? "true" : "false")
+                              : (v.flag ? "yes" : "NO"));
+      case Kind::Real:
+        return strf(fmt, v.real);
+      case Kind::Uint:
+        return strf(fmt, static_cast<unsigned long long>(v.uint));
+    }
+    return {};
+}
+
+} // namespace
+
+Report::Report(const std::string& name, std::vector<Column> cols)
+    : path(jsonOutPath("BENCH_" + name + ".json")), columns(std::move(cols))
+{
+    std::string header;
+    for (const Column& c : columns) {
+        if (!c.header)
+            continue;
+        // A header is as wide as its column's cells, and left-aligned
+        // with them.
+        std::string conv = conversionOf(c.cellFmt);
+        Value zero = conv == "s"   ? Value("")
+                     : conv == "f" ? Value(0.0)
+                                   : Value(std::uint64_t{0});
+        int width =
+            static_cast<int>(render(c.cellFmt, zero, false, c.header).size());
+        bool left = std::strncmp(c.cellFmt, "%-", 2) == 0;
+        header += strf("%s%*s", header.empty() ? "" : " ",
+                       left ? -width : width, c.header);
+    }
+    if (!header.empty())
+        std::printf("\n%s\n", header.c_str());
+}
+
+void
+Report::meta(const std::string& key, const Value& v)
+{
+    metaLines.push_back("\"" + key + "\": " +
+                        render("%s", v, true, key.c_str()));
+}
+
+void
+Report::row(const std::vector<Value>& values)
+{
+    if (values.size() != columns.size())
+        throw std::logic_error(strf("bench report row has %zu values for "
+                                    "%zu columns",
+                                    values.size(), columns.size()));
+    std::string json;
+    std::string cells;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const Column& c = columns[i];
+        if (c.key)
+            json += (json.empty() ? "\"" : ", \"") + std::string(c.key) +
+                    "\": " + render(c.jsonFmt, values[i], true, c.key);
+        if (c.header)
+            cells += (cells.empty() ? "" : " ") +
+                     render(c.cellFmt, values[i], false, c.header);
+    }
+    rows.push_back("{" + json + "}");
+    if (!cells.empty())
+        std::printf("%s\n", cells.c_str());
+}
+
+void
+Report::gate(bool ok, const std::string& what)
+{
+    ++gates;
+    if (!ok) {
+        ++failures;
+        std::printf("FAIL: %s\n", what.c_str());
+    }
+}
+
+int
+Report::finish()
+{
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    bool written = f != nullptr;
+    if (f) {
+        std::fprintf(f, "{\n");
+        for (const std::string& m : metaLines)
+            std::fprintf(f, "  %s,\n", m.c_str());
+        std::fprintf(f, "  \"benchmarks\": [\n");
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            std::fprintf(f, "    %s%s\n", rows[i].c_str(),
+                         i + 1 < rows.size() ? "," : "");
+        std::fprintf(f, "  ]\n}\n");
+        written = !std::ferror(f);
+        written = std::fclose(f) == 0 && written;
+    }
+    if (written)
+        std::printf("\nResults written to %s\n", path.c_str());
+    else
+        std::printf("\nFAIL: could not write %s\n", path.c_str());
+    if (gates > 0)
+        std::printf("gates held: %zu of %zu\n", gates - failures, gates);
+    return written && failures == 0 ? 0 : 1;
 }
 
 std::uint64_t

@@ -190,11 +190,85 @@ void banner(const std::string& figure, const std::string& what);
 
 /**
  * Output path for machine-readable benchmark results: the
- * HAMS_BENCH_JSON environment variable, or @p fallback. Used by
- * micro_hotpaths to write BENCH_hotpaths.json so every PR records a
- * perf trajectory.
+ * HAMS_BENCH_JSON environment variable, or @p fallback. Report writes
+ * BENCH_<name>.json through it and micro_hotpaths BENCH_hotpaths.json.
  */
 std::string jsonOutPath(const std::string& fallback);
+
+/** printf into a std::string. */
+std::string strf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/**
+ * One harness's results: a stdout table and BENCH_<name>.json, both
+ * from one column declaration, plus the harness's pass/fail gates.
+ *
+ * A Column carries a JSON key and value format and, if the table shows
+ * it, a header and cell format; either half may be null. The
+ * constructor prints the table header. row() takes one value per
+ * column in declaration order, prints the table row at once and keeps
+ * the JSON row, so JSON keys follow the declaration. finish() writes
+ *
+ *   {"<meta key>": <value>, ..., "benchmarks": [<rows>]}
+ *
+ * to jsonOutPath("BENCH_<name>.json") and returns the exit code: 0
+ * only if every gate held and the file was written.
+ *
+ * Formats are single printf conversions: %s for strings and booleans
+ * (JSON true/false, table yes/NO), %f for doubles and %llu for
+ * integers, each with any flags, width and precision. A format that
+ * does not match its value's type throws std::logic_error.
+ */
+class Report
+{
+  public:
+    struct Column
+    {
+        const char* key = nullptr; //!< JSON key; null: table only
+        const char* jsonFmt = nullptr;
+        const char* header = nullptr; //!< table header; null: JSON only
+        const char* cellFmt = nullptr;
+    };
+
+    /** One row or meta value. */
+    struct Value
+    {
+        enum class Kind { Str, Real, Uint, Bool } kind;
+        std::string str;
+        double real = 0;
+        std::uint64_t uint = 0;
+        bool flag = false;
+
+        Value(std::string v) : kind(Kind::Str), str(std::move(v)) {}
+        Value(const char* v) : Value(std::string(v)) {}
+        Value(double v) : kind(Kind::Real), real(v) {}
+        Value(std::uint64_t v) : kind(Kind::Uint), uint(v) {}
+        Value(std::uint32_t v) : Value(std::uint64_t{v}) {}
+        Value(bool v) : kind(Kind::Bool), flag(v) {}
+    };
+
+    Report(const std::string& name, std::vector<Column> columns);
+
+    /** A top-level string or boolean JSON key, written before
+     *  "benchmarks" in call order. */
+    void meta(const std::string& key, const Value& v);
+
+    /** One result row; throws std::logic_error on a count mismatch. */
+    void row(const std::vector<Value>& values);
+
+    /** Record a gate; a failing one prints "FAIL: <what>". */
+    void gate(bool ok, const std::string& what);
+
+    /** Write the JSON and return the process exit code. */
+    int finish();
+
+  private:
+    std::string path;
+    std::vector<Column> columns;
+    std::vector<std::string> metaLines;
+    std::vector<std::string> rows;
+    std::size_t gates = 0;
+    std::size_t failures = 0;
+};
 
 /**
  * Heap allocations since process start (global operator new calls).

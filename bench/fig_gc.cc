@@ -27,6 +27,9 @@
  * band, foreground stall ticks, write amplification (1 + GC programs
  * per host program) and the deepest pacer level reached.
  *
+ * Gate: some paced cell must engage the pacer (pace_level_max > 0),
+ * or the binary exits non-zero.
+ *
  * Deterministic: fixed seeds, one fresh platform per cell; reruns —
  * at any HAMS_BENCH_THREADS setting — produce byte-identical tables.
  * Results land in BENCH_gc.json (HAMS_BENCH_JSON overrides,
@@ -359,72 +362,56 @@ main()
         return 1;
     }
 
-    std::printf("\n%-8s %5s %6s %10s %9s %9s %10s %10s %7s %8s %8s %7s "
-                "%8s %6s %6s %5s\n",
-                "platform", "fill", "mode", "ops/s", "p50(us)",
-                "p99(us)", "p99.9(us)", "max(us)", "erases", "reloc",
-                "overlap", "susp", "minFree", "band", "WA", "pace");
+    Report rep("gc",
+               {{"name", "%s"},
+                {nullptr, nullptr, "platform", "%-8s"},
+                {nullptr, nullptr, "fill", "%5.2f"},
+                {nullptr, nullptr, "mode", "%6s"},
+                {"ops_per_sec", "%.1f", "ops/s", "%10.0f"},
+                {"p50_us", "%.3f", "p50(us)", "%9.1f"},
+                {"p99_us", "%.3f", "p99(us)", "%9.1f"},
+                {"p999_us", "%.3f", "p99.9(us)", "%10.1f"},
+                {"max_us", "%.3f", "max(us)", "%10.1f"},
+                {"gc_runs", "%llu"},
+                {"erases", "%llu", "erases", "%7llu"},
+                {"gc_relocations", "%llu", "reloc", "%8llu"},
+                {"gc_batches", "%llu"},
+                {"gc_write_stalls", "%llu"},
+                {"gc_stall_ticks", "%llu"},
+                {"gc_foreground_overlap", "%llu", "overlap", "%8llu"},
+                {"gc_reads", "%llu"},
+                {"gc_programs", "%llu"},
+                {"gc_erases", "%llu"},
+                {"suspensions", "%llu", "susp", "%7llu"},
+                {"min_free_blocks", "%llu", "minFree", "%8llu"},
+                {"avg_free_blocks", "%.2f"},
+                {"avg_free_sustained", "%.3f"},
+                {"band_occupancy", "%.3f", "band", "%6.2f"},
+                {"write_amp", "%.3f", "WA", "%6.2f"},
+                {"gc_stream_blocks", "%llu"},
+                {"gc_quality_deferrals", "%llu"},
+                {"pace_level_max", "%llu", "pace", "%5llu"}});
 
-    std::string out = jsonOutPath("BENCH_gc.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-
+    bool pacer_engaged = false;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const GcCell& c = cells[i];
         const GcResult& r = results[i];
         const char* mode = modeName(c.mode);
-        std::printf("%-8s %5.2f %6s %10.0f %9.1f %9.1f %10.1f %10.1f "
-                    "%7llu %8llu %8llu %7llu %8u %6.2f %6.2f %5u\n",
-                    c.platform.c_str(), c.fill, mode, r.opsPerSec,
-                    r.p50us, r.p99us, r.p999us, r.maxus,
-                    static_cast<unsigned long long>(r.ftl.erases),
-                    static_cast<unsigned long long>(r.ftl.gcRelocations),
-                    static_cast<unsigned long long>(
-                        r.ftl.gcForegroundOverlap),
-                    static_cast<unsigned long long>(r.flash.suspensions),
-                    r.minFree, r.bandOccupancy, r.writeAmp,
-                    r.ftl.paceLevelMax);
-        std::fprintf(
-            f,
-            "    {\"name\": \"gc/%s/fill%02d/%s\", "
-            "\"ops_per_sec\": %.1f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
-            "\"p999_us\": %.3f, \"max_us\": %.3f, "
-            "\"gc_runs\": %llu, \"erases\": %llu, "
-            "\"gc_relocations\": %llu, "
-            "\"gc_batches\": %llu, \"gc_write_stalls\": %llu, "
-            "\"gc_stall_ticks\": %llu, \"gc_foreground_overlap\": %llu, "
-            "\"gc_reads\": %llu, \"gc_programs\": %llu, "
-            "\"gc_erases\": %llu, \"suspensions\": %llu, "
-            "\"min_free_blocks\": %u, \"avg_free_blocks\": %.2f, "
-            "\"avg_free_sustained\": %.3f, "
-            "\"band_occupancy\": %.3f, \"write_amp\": %.3f, "
-            "\"gc_stream_blocks\": %llu, \"gc_quality_deferrals\": %llu, "
-            "\"pace_level_max\": %u}%s\n",
-            c.platform.c_str(), static_cast<int>(c.fill * 100), mode,
-            r.opsPerSec, r.p50us, r.p99us, r.p999us, r.maxus,
-            static_cast<unsigned long long>(r.ftl.gcRuns),
-            static_cast<unsigned long long>(r.ftl.erases),
-            static_cast<unsigned long long>(r.ftl.gcRelocations),
-            static_cast<unsigned long long>(r.ftl.gcBatches),
-            static_cast<unsigned long long>(r.ftl.gcWriteStalls),
-            static_cast<unsigned long long>(r.ftl.gcStallTicks),
-            static_cast<unsigned long long>(r.ftl.gcForegroundOverlap),
-            static_cast<unsigned long long>(r.flash.gcReads),
-            static_cast<unsigned long long>(r.flash.gcPrograms),
-            static_cast<unsigned long long>(r.flash.gcErases),
-            static_cast<unsigned long long>(r.flash.suspensions),
-            r.minFree, r.avgFree, r.avgFreeSustained, r.bandOccupancy,
-            r.writeAmp,
-            static_cast<unsigned long long>(r.ftl.gcStreamBlocks),
-            static_cast<unsigned long long>(r.ftl.gcQualityDeferrals),
-            r.ftl.paceLevelMax, i + 1 < cells.size() ? "," : "");
+        rep.row({strf("gc/%s/fill%02d/%s", c.platform.c_str(),
+                      static_cast<int>(c.fill * 100), mode),
+                 c.platform, c.fill, mode, r.opsPerSec, r.p50us, r.p99us,
+                 r.p999us, r.maxus, r.ftl.gcRuns, r.ftl.erases,
+                 r.ftl.gcRelocations, r.ftl.gcBatches, r.ftl.gcWriteStalls,
+                 r.ftl.gcStallTicks, r.ftl.gcForegroundOverlap,
+                 r.flash.gcReads, r.flash.gcPrograms, r.flash.gcErases,
+                 r.flash.suspensions, r.minFree, r.avgFree,
+                 r.avgFreeSustained, r.bandOccupancy, r.writeAmp,
+                 r.ftl.gcStreamBlocks, r.ftl.gcQualityDeferrals,
+                 r.ftl.paceLevelMax});
+        if (c.mode == GcMode::Paced && r.ftl.paceLevelMax > 0)
+            pacer_engaged = true;
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    rep.gate(pacer_engaged, "pacer never engaged in any paced cell");
 
     // Side-by-side tails: the background engine removes the sync GC
     // cliff; the pacer + GC streams hold the free level up the band
@@ -448,6 +435,5 @@ main()
                     b.avgFreeSustained, p.avgFreeSustained, b.writeAmp,
                     p.writeAmp, q.writeAmp);
     }
-    std::printf("\nResults written to %s\n", out.c_str());
-    return 0;
+    return rep.finish();
 }

@@ -15,11 +15,15 @@
  * skew the slowest shard adds, and the fence release charge (update
  * carries SQLite-style durability barriers; rndRd never flushes).
  *
- * Two built-in gates land in the JSON alongside the table:
- *  - m1_identical: every M = 1 grid configuration rerun through a
- *    1-shard ShardedPlatform is bit-identical to the bare platform;
- *  - rerun_identical: an M = 4 cell rerun from scratch reproduces the
- *    sweep's result bit for bit.
+ * Gates (the binary exits non-zero if any fails):
+ *  - m1_identical (also in the JSON): every M = 1 grid configuration
+ *    rerun through a 1-shard ShardedPlatform is bit-identical to the
+ *    bare platform;
+ *  - rerun_identical (also in the JSON): an M = 4 cell rerun from
+ *    scratch reproduces the sweep's result bit for bit;
+ *  - scaling_efficiency >= 0.7 on every 4-device rndRd cell;
+ *  - flush_barriers > 0 and fence_ns_per_barrier > 0 on every
+ *    multi-device update cell.
  *
  * Deterministic: fixed-seed shard/core workload streams on fresh
  * platforms per cell — reruns at any HAMS_BENCH_THREADS are
@@ -27,7 +31,6 @@
  * (HAMS_BENCH_JSON overrides; HAMS_BENCH_SCALE enlarges the runs).
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -35,33 +38,15 @@
 
 namespace {
 
-using hams::RunResult;
-
-/** Bit-equality of two runs (raw counters and derived rates). */
-bool
-sameRun(const RunResult& a, const RunResult& b)
-{
-    return a.platform == b.platform && a.workload == b.workload &&
-           a.simTime == b.simTime && a.instructions == b.instructions &&
-           a.memInstructions == b.memInstructions &&
-           a.platformAccesses == b.platformAccesses &&
-           a.l1Hits == b.l1Hits && a.l2Hits == b.l2Hits &&
-           a.opsCompleted == b.opsCompleted &&
-           a.pagesTouched == b.pagesTouched &&
-           a.activeTime == b.activeTime && a.stallTime == b.stallTime &&
-           a.flushTime == b.flushTime && a.ipc == b.ipc &&
-           a.opsPerSec == b.opsPerSec && a.bytesPerSec == b.bytesPerSec;
-}
-
 bool
 sameSmp(const hams::SmpResult& a, const hams::SmpResult& b)
 {
     if (a.perCore.size() != b.perCore.size())
         return false;
     for (std::size_t i = 0; i < a.perCore.size(); ++i)
-        if (!sameRun(a.perCore[i], b.perCore[i]))
+        if (!hams::sameSimOutputs(a.perCore[i], b.perCore[i]))
             return false;
-    return sameRun(a.combined, b.combined);
+    return hams::sameSimOutputs(a.combined, b.combined);
 }
 
 } // namespace
@@ -89,62 +74,49 @@ main()
                     cells.push_back({p, w, cpd * m, geom, m});
     std::vector<SmpCellResult> results = runSmpSweep(cells);
 
-    // Gate 1: the 1-shard ShardedPlatform is a pure pass-through —
-    // every M = 1 configuration must be bit-identical to the bare
-    // platform the sweep ran.
+    // m1_identical: the 1-shard ShardedPlatform is a pure pass-through,
+    // so every M = 1 configuration is bit-identical to the bare
+    // platform the sweep ran. rerun_identical: rerunning an M = 4 cell
+    // from scratch reproduces the sweep's result bit for bit.
     bool m1_identical = true;
-    {
-        std::size_t cursor = 0;
-        for (const auto& p : platforms)
-            for (const auto& w : workloads)
-                for (std::uint32_t cpd : cpds)
-                    for (std::uint32_t m : devices) {
-                        if (m == 1) {
-                            auto sp = makeShardedPlatform(p, geom, 1);
-                            SmpResult twin =
-                                runShardedSmpOn(*sp, w, cpd, geom);
-                            if (!sameSmp(twin, results[cursor].smp))
-                                m1_identical = false;
-                        }
-                        ++cursor;
-                    }
-    }
-
-    // Gate 2: rerunning an M = 4 cell from scratch reproduces the
-    // sweep's result bit for bit.
     bool rerun_identical = true;
-    {
-        std::size_t cursor = 0;
-        for (const auto& p : platforms)
-            for (const auto& w : workloads)
-                for (std::uint32_t cpd : cpds)
-                    for (std::uint32_t m : devices) {
-                        if (m == 4 && p == "hams-TE" && cpd == 4) {
-                            auto sp = makeShardedPlatform(p, geom, 4);
-                            SmpResult twin =
-                                runShardedSmpOn(*sp, w, cpd * m, geom);
-                            if (!sameSmp(twin, results[cursor].smp))
-                                rerun_identical = false;
-                        }
-                        ++cursor;
+    std::size_t twin_cursor = 0;
+    for (const auto& p : platforms)
+        for (const auto& w : workloads)
+            for (std::uint32_t cpd : cpds)
+                for (std::uint32_t m : devices) {
+                    const SmpResult& swept = results[twin_cursor++].smp;
+                    if (m == 1) {
+                        auto sp = makeShardedPlatform(p, geom, 1);
+                        m1_identical &= sameSmp(
+                            runShardedSmpOn(*sp, w, cpd, geom), swept);
+                    } else if (m == 4 && p == "hams-TE" && cpd == 4) {
+                        auto sp = makeShardedPlatform(p, geom, 4);
+                        rerun_identical &= sameSmp(
+                            runShardedSmpOn(*sp, w, cpd * m, geom), swept);
                     }
-    }
+                }
 
-    std::printf("\n%-8s %-8s %4s %4s %6s %14s %8s %9s %11s %11s\n",
-                "platform", "workload", "dev", "c/d", "cores",
-                "ops/s(agg)", "scale", "barriers", "skew-ns/f",
-                "fence-ns/f");
-
-    std::string out = jsonOutPath("BENCH_scaleout.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"m1_identical\": %s,\n  \"rerun_identical\": "
-                 "%s,\n  \"benchmarks\": [\n",
-                 m1_identical ? "true" : "false",
-                 rerun_identical ? "true" : "false");
+    Report rep("scaleout",
+               {{"name", "%s"},
+                {nullptr, nullptr, "platform", "%-8s"},
+                {nullptr, nullptr, "workload", "%-8s"},
+                {"devices", "%llu", "dev", "%4llu"},
+                {nullptr, nullptr, "c/d", "%4llu"},
+                {"cores", "%llu", "cores", "%6llu"},
+                {"ops_per_sec", "%.1f", "ops/s(agg)", "%14.0f"},
+                {"bytes_per_sec", "%.1f"},
+                {"sim_time_ticks", "%llu"},
+                {"scaling_efficiency", "%.4f", "scale", "%7.2f"},
+                {"routed_accesses", "%llu"},
+                {"flush_barriers", "%llu", "barriers", "%9llu"},
+                {"flush_skew_ns_per_barrier", "%.1f", "skew-ns/f", "%11.1f"},
+                {"fence_ns_per_barrier", "%.1f", "fence-ns/f", "%11.1f"}});
+    rep.meta("m1_identical", m1_identical);
+    rep.meta("rerun_identical", rerun_identical);
+    rep.gate(m1_identical,
+             "M=1 sharded cells diverged from the bare platform");
+    rep.gate(rerun_identical, "M=4 rerun diverged");
 
     std::size_t cursor = 0;
     for (const auto& p : platforms) {
@@ -152,9 +124,8 @@ main()
             for (std::uint32_t cpd : cpds) {
                 double base_ops = 0;
                 for (std::uint32_t m : devices) {
-                    const SmpCellResult& cell = results[cursor];
+                    const SmpCellResult& cell = results[cursor++];
                     const RunResult& comb = cell.smp.combined;
-                    std::uint32_t cores = cpd * m;
                     if (m == 1)
                         base_ops = comb.opsPerSec;
                     // Weak-scaling efficiency: M devices (and M x the
@@ -163,56 +134,37 @@ main()
                                      ? comb.opsPerSec / (base_ops * m)
                                      : 0;
 
-                    std::uint64_t barriers = cell.sharded.flushBarriers;
-                    double skew_ns =
-                        barriers ? static_cast<double>(
-                                       cell.sharded.flushSkewTicks) /
-                                       (1000.0 * barriers)
-                                 : 0;
-                    double fence_ns =
-                        barriers ? static_cast<double>(
-                                       cell.sharded.fenceTicks) /
-                                       (1000.0 * barriers)
-                                 : 0;
+                    const ShardedStats& st = cell.sharded;
+                    std::uint64_t barriers = st.flushBarriers;
+                    auto per_barrier = [barriers](Tick t) {
+                        return barriers ? static_cast<double>(t) /
+                                              (1000.0 * barriers)
+                                        : 0;
+                    };
+                    double fence_ns = per_barrier(st.fenceTicks);
+                    std::string name = strf("scaleout/%s/%s/d%u/c%u",
+                                            p.c_str(), w.c_str(), m, cpd);
+                    rep.row({name, p, w, m, cpd, cpd * m, comb.opsPerSec,
+                             comb.bytesPerSec, comb.simTime, eff,
+                             st.routedAccesses, barriers,
+                             per_barrier(st.flushSkewTicks), fence_ns});
 
-                    std::printf("%-8s %-8s %4u %4u %6u %14.0f %7.2f "
-                                "%9llu %11.1f %11.1f\n",
-                                p.c_str(), w.c_str(), m, cpd, cores,
-                                comb.opsPerSec, eff,
-                                static_cast<unsigned long long>(barriers),
-                                skew_ns, fence_ns);
-
-                    std::fprintf(
-                        f,
-                        "    {\"name\": \"scaleout/%s/%s/d%u/c%u\", "
-                        "\"devices\": %u, \"cores\": %u, "
-                        "\"ops_per_sec\": %.1f, \"bytes_per_sec\": %.1f, "
-                        "\"sim_time_ticks\": %llu, "
-                        "\"scaling_efficiency\": %.4f, "
-                        "\"routed_accesses\": %llu, "
-                        "\"flush_barriers\": %llu, "
-                        "\"flush_skew_ns_per_barrier\": %.1f, "
-                        "\"fence_ns_per_barrier\": %.1f}%s\n",
-                        p.c_str(), w.c_str(), m, cpd, m, cores,
-                        comb.opsPerSec, comb.bytesPerSec,
-                        static_cast<unsigned long long>(comb.simTime),
-                        eff,
-                        static_cast<unsigned long long>(
-                            cell.sharded.routedAccesses),
-                        static_cast<unsigned long long>(barriers),
-                        skew_ns, fence_ns,
-                        cursor + 1 < results.size() ? "," : "");
-                    ++cursor;
+                    // Shard-friendly reads scale: >= 0.7 weak-scaling
+                    // efficiency at 4 devices.
+                    if (w == "rndRd" && m == 4)
+                        rep.gate(eff >= 0.7, name + ": efficiency below "
+                                                    "0.7 at 4 devices");
+                    // Durability barriers cross every shard, and the
+                    // fence release is charged.
+                    if (w == "update" && m > 1) {
+                        rep.gate(barriers > 0,
+                                 name + ": no cross-shard flush barriers");
+                        rep.gate(fence_ns > 0,
+                                 name + ": fence cost column empty");
+                    }
                 }
             }
         }
     }
-
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nm1_identical=%s rerun_identical=%s\n",
-                m1_identical ? "yes" : "NO",
-                rerun_identical ? "yes" : "NO");
-    std::printf("Results written to %s\n", out.c_str());
-    return !m1_identical || !rerun_identical;
+    return rep.finish();
 }

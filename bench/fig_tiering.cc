@@ -308,56 +308,40 @@ main()
         return 1;
     }
 
-    std::printf("\n%5s %5s %10s %7s %9s %7s %7s %8s\n", "theta", "mode",
-                "ops/s", "hit%", "hot", "promo", "demo", "rerun");
+    Report rep("tiering",
+               {{"name", "%s"},
+                {nullptr, nullptr, "theta", "%5.2f"},
+                {nullptr, nullptr, "mode", "%5s"},
+                {"ops_per_sec", "%.1f", "ops/s", "%10.0f"},
+                {nullptr, nullptr, "hit%", "%6.2f%%"},
+                {"hit_rate", "%.5f"},
+                {"hits", "%llu"},
+                {"misses", "%llu"},
+                {"hot_frames", "%llu", "hot", "%9llu"},
+                {"promotions", "%llu", "promo", "%7llu"},
+                {"demotions", "%llu", "demo", "%7llu"},
+                {"mig_steps", "%llu"},
+                {"pace_deferrals", "%llu"},
+                {"fingerprint", "%llu"},
+                {"rerun_identical", "%s"},
+                {nullptr, nullptr, "rerun", "%8s"}});
 
-    bool all_ok = true;
     bool moved = false;
-    std::string out = jsonOutPath("BENCH_tiering.json");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n  \"benchmarks\": [\n");
-
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const TierCell& c = cells[i];
         const TierResult& r = results[i];
-        if (!r.rerunIdentical)
-            all_ok = false;
+        std::string name =
+            strf("tiering/mmap/theta%.2f/%s", c.theta, modeName(c.mode));
+        rep.row({name, c.theta, modeName(c.mode), r.opsPerSec,
+                 r.hitRate * 100, r.hitRate, r.hits, r.misses, r.hotFrames,
+                 r.tier.promotions, r.tier.demotions, r.tier.migSteps,
+                 r.tier.paceDeferrals, r.fingerprint, r.rerunIdentical,
+                 r.rerunIdentical ? "ok" : "DIFF"});
+        rep.gate(r.rerunIdentical, name + ": rerun diverged");
         if (c.mode == TierMode::Tier &&
             r.tier.promotions + r.tier.demotions > 0)
             moved = true;
-        std::printf("%5.2f %5s %10.0f %6.2f%% %9llu %7llu %7llu %8s\n",
-                    c.theta, modeName(c.mode), r.opsPerSec,
-                    r.hitRate * 100,
-                    static_cast<unsigned long long>(r.hotFrames),
-                    static_cast<unsigned long long>(r.tier.promotions),
-                    static_cast<unsigned long long>(r.tier.demotions),
-                    r.rerunIdentical ? "ok" : "DIFF");
-        std::fprintf(
-            f,
-            "    {\"name\": \"tiering/mmap/theta%.2f/%s\", "
-            "\"ops_per_sec\": %.1f, \"hit_rate\": %.5f, "
-            "\"hits\": %llu, \"misses\": %llu, \"hot_frames\": %llu, "
-            "\"promotions\": %llu, \"demotions\": %llu, "
-            "\"mig_steps\": %llu, \"pace_deferrals\": %llu, "
-            "\"fingerprint\": %llu, \"rerun_identical\": %s}%s\n",
-            c.theta, modeName(c.mode), r.opsPerSec, r.hitRate,
-            static_cast<unsigned long long>(r.hits),
-            static_cast<unsigned long long>(r.misses),
-            static_cast<unsigned long long>(r.hotFrames),
-            static_cast<unsigned long long>(r.tier.promotions),
-            static_cast<unsigned long long>(r.tier.demotions),
-            static_cast<unsigned long long>(r.tier.migSteps),
-            static_cast<unsigned long long>(r.tier.paceDeferrals),
-            static_cast<unsigned long long>(r.fingerprint),
-            r.rerunIdentical ? "true" : "false",
-            i + 1 < cells.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
 
     // Headline: each consumer's share of the gain, and at high skew
     // the tiering cache must beat (or at worst match) the
@@ -376,23 +360,12 @@ main()
         std::printf("%5.2f %12.0f %6.3fx %6.3fx %6.3fx\n", cells[i].theta,
                     off, ratio(TierMode::Pin), ratio(TierMode::Mig),
                     ratio(TierMode::Tier));
-        if (cells[i].theta >= 0.99 && ops(TierMode::Tier) < off) {
-            std::printf("  ^ FAIL: tiering below skew-oblivious at "
-                        "high skew\n");
-            all_ok = false;
-        }
+        if (cells[i].theta >= 0.99)
+            rep.gate(ops(TierMode::Tier) >= off,
+                     strf("theta %.2f: tiering below skew-oblivious at "
+                          "high skew", cells[i].theta));
     }
-    if (!moved) {
-        std::printf("FAIL: the migration engine never moved a frame in "
-                    "any tier cell\n");
-        all_ok = false;
-    }
-
-    std::printf("\nResults written to %s\n", out.c_str());
-    if (!all_ok) {
-        std::fprintf(stderr, "fig_tiering: determinism, high-skew or "
-                             "migration gate violated\n");
-        return 1;
-    }
-    return 0;
+    rep.gate(moved, "the migration engine never moved a frame in any "
+                    "tier cell");
+    return rep.finish();
 }

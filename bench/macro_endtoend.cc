@@ -21,7 +21,6 @@
  */
 
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -34,8 +33,6 @@ using namespace hams::bench;
 
 struct CellReport
 {
-    std::string platform;
-    std::string workload;
     double eventNsPerAccess = 0;  //!< fast path off
     double inlineNsPerAccess = 0; //!< fast path on
     double speedup = 0;
@@ -43,25 +40,6 @@ struct CellReport
     std::uint64_t accesses = 0;
     bool identical = false;
 };
-
-/** Simulated-time fields that must not depend on the host-side path. */
-bool
-sameSimOutputs(const RunResult& a, const RunResult& b)
-{
-    return a.simTime == b.simTime && a.instructions == b.instructions &&
-           a.memInstructions == b.memInstructions &&
-           a.platformAccesses == b.platformAccesses &&
-           a.l1Hits == b.l1Hits && a.l2Hits == b.l2Hits &&
-           a.opsCompleted == b.opsCompleted &&
-           a.pagesTouched == b.pagesTouched &&
-           a.activeTime == b.activeTime && a.stallTime == b.stallTime &&
-           a.flushTime == b.flushTime &&
-           a.stallBreakdown.os == b.stallBreakdown.os &&
-           a.stallBreakdown.nvdimm == b.stallBreakdown.nvdimm &&
-           a.stallBreakdown.dma == b.stallBreakdown.dma &&
-           a.stallBreakdown.ssd == b.stallBreakdown.ssd &&
-           a.stallBreakdown.cpu == b.stallBreakdown.cpu;
-}
 
 /** Best-of-N timing repetitions per path, to shake off host noise. */
 constexpr int repetitions = 5;
@@ -114,8 +92,6 @@ runCell(const std::string& platform_name, const std::string& workload,
         const BenchGeometry& geom)
 {
     CellReport rep;
-    rep.platform = platform_name;
-    rep.workload = workload;
 
     Half off(platform_name, workload, geom, false);
     Half on(platform_name, workload, geom, true);
@@ -168,60 +144,29 @@ main()
         {"hams-TP", "rndRd"},
     };
 
-    std::printf("\n%-10s %-8s %12s %12s %9s %11s %6s\n", "platform",
-                "workload", "event ns/ac", "inline ns/ac", "speedup",
-                "allocs/ac", "same?");
+    Report rep("macro",
+               {{"name", "%s"},
+                {nullptr, nullptr, "platform", "%-10s"},
+                {nullptr, nullptr, "workload", "%-8s"},
+                {"event_ns_per_access", "%.1f", "event ns/ac", "%12.1f"},
+                {"inline_ns_per_access", "%.1f", "inline ns/ac", "%12.1f"},
+                {"speedup", "%.2f", "speedup", "%8.2fx"},
+                {"allocs_per_access", "%.6f", "allocs/ac", "%11.6f"},
+                {"platform_accesses", "%llu"},
+                {"sim_outputs_identical", "%s", "same?", "%6s"}});
+    rep.meta("note", "event path = this build with the inline fast path "
+                     "disabled; it already includes the shared model "
+                     "optimisations, so 'speedup' understates the gain "
+                     "over the pre-PR driver (see ROADMAP.md end-to-end "
+                     "table)");
 
-    std::vector<CellReport> reports;
-    bool all_identical = true;
     for (const auto& [p, w] : cells) {
-        CellReport rep = runCell(p, w, geom);
-        all_identical = all_identical && rep.identical;
-        std::printf("%-10s %-8s %12.1f %12.1f %8.2fx %11.6f %6s\n",
-                    rep.platform.c_str(), rep.workload.c_str(),
-                    rep.eventNsPerAccess, rep.inlineNsPerAccess,
-                    rep.speedup, rep.allocsPerAccess,
-                    rep.identical ? "yes" : "NO");
-        reports.push_back(rep);
+        CellReport r = runCell(p, w, geom);
+        std::string name = "macro/" + p + "/" + w;
+        rep.row({name, p, w, r.eventNsPerAccess, r.inlineNsPerAccess,
+                 r.speedup, r.allocsPerAccess, r.accesses, r.identical});
+        rep.gate(r.identical, name + ": simulated-time outputs diverged "
+                                     "between fast path on and off");
     }
-
-    std::string out = jsonOutPath("BENCH_macro.json");
-    if (std::FILE* f = std::fopen(out.c_str(), "w")) {
-        std::fprintf(
-            f,
-            "{\n  \"note\": \"event path = this build with the inline "
-            "fast path disabled; it already includes the shared model "
-            "optimisations, so 'speedup' understates the gain over the "
-            "pre-PR driver (see ROADMAP.md end-to-end table)\",\n");
-        std::fprintf(f, "  \"benchmarks\": [\n");
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            const CellReport& r = reports[i];
-            std::fprintf(
-                f,
-                "    {\"name\": \"macro/%s/%s\", "
-                "\"event_ns_per_access\": %.1f, "
-                "\"inline_ns_per_access\": %.1f, \"speedup\": %.2f, "
-                "\"allocs_per_access\": %.6f, \"platform_accesses\": %llu, "
-                "\"sim_outputs_identical\": %s}%s\n",
-                r.platform.c_str(), r.workload.c_str(),
-                r.eventNsPerAccess, r.inlineNsPerAccess, r.speedup,
-                r.allocsPerAccess,
-                static_cast<unsigned long long>(r.accesses),
-                r.identical ? "true" : "false",
-                i + 1 < reports.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("\nResults written to %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "could not write %s\n", out.c_str());
-        return 1;
-    }
-
-    if (!all_identical) {
-        std::fprintf(stderr, "FAIL: simulated-time outputs diverged "
-                             "between fast path on and off\n");
-        return 1;
-    }
-    return 0;
+    return rep.finish();
 }

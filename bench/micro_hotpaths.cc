@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -340,6 +341,7 @@ main(int argc, char** argv)
     // Default to JSON output in BENCH_hotpaths.json unless the caller
     // passed an explicit --benchmark_out.
     std::vector<char*> args(argv, argv + argc);
+    std::string out_path = hams::bench::jsonOutPath("BENCH_hotpaths.json");
     std::string out_flag;
     bool has_out = false;
     for (int i = 1; i < argc; ++i)
@@ -347,8 +349,7 @@ main(int argc, char** argv)
             has_out = true;
     std::string fmt_flag = "--benchmark_out_format=json";
     if (!has_out) {
-        out_flag = "--benchmark_out=" +
-                   hams::bench::jsonOutPath("BENCH_hotpaths.json");
+        out_flag = "--benchmark_out=" + out_path;
         args.push_back(out_flag.data());
         args.push_back(fmt_flag.data());
     }
@@ -359,5 +360,7 @@ main(int argc, char** argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    if (!has_out)
+        std::printf("\nResults written to %s\n", out_path.c_str());
     return 0;
 }

@@ -7,24 +7,33 @@
 #   HAMS_BENCH_SCALE=N enlarges the runs (default 1 = smoke size).
 #   HAMS_BENCH_THREADS=N caps the cross-cell worker pool.
 #
-# <name>     binary          what it records
+# <name>     binary          what it records; exits non-zero when
 # hotpaths   micro_hotpaths  per-component host cost (google-benchmark;
-#                            extra args go to it)
-# macro      macro_endtoend  host-ns per simulated access through the
-#                            full core stack, fast path off vs on; exits
-#                            non-zero if the simulated outputs diverge
+#                            extra args go to it); an argument is unknown
+# macro      macro_endtoend  host-ns per simulated access, fast path off
+#                            vs on; any cell's simulated outputs differ
+#                            between the two paths
 # multicore  fig_multicore   N-core throughput, scaling efficiency and
-#                            the HAMS contention counters
+#                            the HAMS contention counters; never (no gates)
 # gc         fig_gc          foreground latency and throughput under
-#                            synchronous, background and paced GC
-# recovery   fig_recovery    recovery time after seeded power cuts;
-#                            exits non-zero if the doubled sweep diverges
-# scaleout   fig_scaleout    N cores x M sharded stacks; exits non-zero if
-#                            M=1 or an M=4 rerun diverges
+#                            synchronous, background and paced GC; no
+#                            paced cell engages the pacer
+# recovery   fig_recovery    recovery time after seeded power cuts; the
+#                            doubled sweep diverges, a cell verifies no
+#                            acked write or its first service is not
+#                            before full recovery, or a churn cell's RTO
+#                            or replay entries do not exceed its idle twin's
+# scaleout   fig_scaleout    N cores x M sharded stacks; M=1 or an M=4
+#                            rerun diverges, a 4-device rndRd cell scales
+#                            below 0.7, or a multi-device update cell has
+#                            no flush barriers or no fence cost
 # tiering    fig_tiering     mmap tiering off / pin / mig / tier under
-#                            zipfian skew; exits non-zero on a rerun
-#                            divergence, tiering losing at high skew, or
-#                            migration never moving a frame
+#                            zipfian skew; a rerun diverges, tiering
+#                            loses at high skew, or migration never
+#                            moves a frame
+#
+# Every binary also exits non-zero when a sweep cell throws or the JSON
+# cannot be written.
 
 set -euo pipefail
 
@@ -48,6 +57,3 @@ cmake --build "${build_dir}" --target "${target}" -j"$(nproc)"
 
 export HAMS_BENCH_JSON="${HAMS_BENCH_JSON:-${repo_root}/BENCH_${name}.json}"
 "${build_dir}/${target}" "$@"
-
-echo
-echo "Results written to ${HAMS_BENCH_JSON}"

@@ -330,4 +330,40 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
     return result;
 }
 
+bool
+sameSimOutputs(const RunResult& a, const RunResult& b, const char** field)
+{
+    auto same = [field](bool equal, const char* name) {
+        if (!equal && field)
+            *field = name;
+        return equal;
+    };
+    const LatencyBreakdown& sa = a.stallBreakdown;
+    const LatencyBreakdown& sb = b.stallBreakdown;
+    return same(a.workload == b.workload, "workload") &&
+           same(a.platform == b.platform, "platform") &&
+           same(a.simTime == b.simTime, "simTime") &&
+           same(a.instructions == b.instructions, "instructions") &&
+           same(a.memInstructions == b.memInstructions, "memInstructions") &&
+           same(a.platformAccesses == b.platformAccesses,
+                "platformAccesses") &&
+           same(a.l1Hits == b.l1Hits, "l1Hits") &&
+           same(a.l2Hits == b.l2Hits, "l2Hits") &&
+           same(a.opsCompleted == b.opsCompleted, "opsCompleted") &&
+           same(a.pagesTouched == b.pagesTouched, "pagesTouched") &&
+           same(a.activeTime == b.activeTime, "activeTime") &&
+           same(a.stallTime == b.stallTime, "stallTime") &&
+           same(sa.os == sb.os, "stallBreakdown.os") &&
+           same(sa.nvdimm == sb.nvdimm, "stallBreakdown.nvdimm") &&
+           same(sa.dma == sb.dma, "stallBreakdown.dma") &&
+           same(sa.ssd == sb.ssd, "stallBreakdown.ssd") &&
+           same(sa.cpu == sb.cpu, "stallBreakdown.cpu") &&
+           same(a.flushTime == b.flushTime, "flushTime") &&
+           same(a.ipc == b.ipc, "ipc") &&
+           same(a.opsPerSec == b.opsPerSec, "opsPerSec") &&
+           same(a.pagesPerSec == b.pagesPerSec, "pagesPerSec") &&
+           same(a.bytesPerSec == b.bytesPerSec, "bytesPerSec") &&
+           same(a.cpuEnergyJ == b.cpuEnergyJ, "cpuEnergyJ");
+}
+
 } // namespace hams

@@ -149,6 +149,16 @@ void finalizeRunResult(RunResult& res, double freq_ghz,
  */
 void mergeRunResult(RunResult& into, const RunResult& from);
 
+/**
+ * Bit-equality of two runs over every RunResult field: the labels, the
+ * raw counters, the stall breakdown and the derived rates and energy.
+ * The one equality behind the benches' determinism gates and the
+ * tests' differential checks. On a mismatch, @p field (if non-null)
+ * is set to the name of the first field that differs.
+ */
+bool sameSimOutputs(const RunResult& a, const RunResult& b,
+                    const char** field = nullptr);
+
 /** What an N-core run produces. */
 struct SmpResult
 {

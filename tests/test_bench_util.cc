@@ -4,17 +4,26 @@
  * (platform × workload) cell at any thread count and never yields a
  * partial table, and sweep tables are bit-identical across
  * HAMS_BENCH_THREADS settings — the property that lets the figure
- * harnesses print deterministic tables from parallel runs.
+ * harnesses print deterministic tables from parallel runs. Also the
+ * HAMS_BENCH_SCALE / HAMS_BENCH_THREADS parsers and bench::Report, the
+ * harnesses' one table, JSON and gate writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "sim/logging.hh"
+
+#include "same_run.hh"
 
 namespace hams {
 namespace {
@@ -36,26 +45,27 @@ tinyGeom()
     return g;
 }
 
-/** Scoped HAMS_BENCH_THREADS override. */
-class ThreadsEnv
+/** Scoped environment-variable override. */
+class ScopedEnv
 {
   public:
-    explicit ThreadsEnv(const char* value)
+    ScopedEnv(const char* var, const char* value) : var(var)
     {
-        if (const char* old = std::getenv("HAMS_BENCH_THREADS"))
+        if (const char* old = std::getenv(var))
             saved = old;
-        setenv("HAMS_BENCH_THREADS", value, 1);
+        setenv(var, value, 1);
     }
 
-    ~ThreadsEnv()
+    ~ScopedEnv()
     {
         if (saved.empty())
-            unsetenv("HAMS_BENCH_THREADS");
+            unsetenv(var);
         else
-            setenv("HAMS_BENCH_THREADS", saved.c_str(), 1);
+            setenv(var, saved.c_str(), 1);
     }
 
   private:
+    const char* var;
     std::string saved;
 };
 
@@ -70,32 +80,13 @@ sweepErrorMessage(const std::vector<SweepCell>& cells)
     return {};
 }
 
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.memInstructions, b.memInstructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
-    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.pagesTouched, b.pagesTouched) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.opsPerSec, b.opsPerSec) << what;
-    EXPECT_EQ(a.bytesPerSec, b.bytesPerSec) << what;
-}
-
 // ---------------------------------------------------------------------
 // Error identity and the no-partial-table guarantee.
 // ---------------------------------------------------------------------
 
 TEST(RunSweepErrors, UnknownPlatformNamesTheCellSerial)
 {
-    ThreadsEnv env("1");
+    ScopedEnv env("HAMS_BENCH_THREADS", "1");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"no-such-platform", "rndWr", tinyGeom()},
@@ -108,7 +99,7 @@ TEST(RunSweepErrors, UnknownPlatformNamesTheCellSerial)
 
 TEST(RunSweepErrors, UnknownPlatformNamesTheCellParallel)
 {
-    ThreadsEnv env("4");
+    ScopedEnv env("HAMS_BENCH_THREADS", "4");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"no-such-platform", "rndWr", tinyGeom()},
@@ -125,7 +116,7 @@ TEST(RunSweepErrors, LowestIndexFailureWinsDeterministically)
 {
     // Two failing cells: the reported one must be the lower index no
     // matter which worker trips first.
-    ThreadsEnv env("4");
+    ScopedEnv env("HAMS_BENCH_THREADS", "4");
     std::vector<SweepCell> cells = {
         {"oracle", "rndRd", tinyGeom()},
         {"bogus-a", "seqWr", tinyGeom()},
@@ -154,11 +145,11 @@ TEST(RunSweepDeterminism, TableIdenticalAcrossThreadCounts)
 
     std::vector<RunResult> serial, parallel;
     {
-        ThreadsEnv env("1");
+        ScopedEnv env("HAMS_BENCH_THREADS", "1");
         serial = bench::runSweep(cells);
     }
     {
-        ThreadsEnv env("4");
+        ScopedEnv env("HAMS_BENCH_THREADS", "4");
         parallel = bench::runSweep(cells);
     }
     ASSERT_EQ(serial.size(), parallel.size());
@@ -178,11 +169,11 @@ TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
 
     std::vector<SmpCellResult> serial, parallel;
     {
-        ThreadsEnv env("1");
+        ScopedEnv env("HAMS_BENCH_THREADS", "1");
         serial = bench::runSmpSweep(cells);
     }
     {
-        ThreadsEnv env("3");
+        ScopedEnv env("HAMS_BENCH_THREADS", "3");
         parallel = bench::runSmpSweep(cells);
     }
     ASSERT_EQ(serial.size(), parallel.size());
@@ -201,6 +192,272 @@ TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
                       parallel[i].hams.waiterPeakDepth);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// HAMS_BENCH_SCALE / HAMS_BENCH_THREADS parsing.
+// ---------------------------------------------------------------------
+
+/** The FatalError message @p run throws, or "" if it throws none. */
+template <typename Run>
+std::string
+fatalMessage(Run run)
+{
+    try {
+        run();
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(BenchEnv, ScaleAcceptsPositiveDecimal)
+{
+    {
+        ScopedEnv env("HAMS_BENCH_SCALE", "3");
+        EXPECT_EQ(bench::scale(), 3u);
+        EXPECT_EQ(BenchGeometry::scaled().ssdRawBytes,
+                  3 * BenchGeometry{}.ssdRawBytes);
+    }
+    unsetenv("HAMS_BENCH_SCALE");
+    EXPECT_EQ(bench::scale(), 1u);
+}
+
+TEST(BenchEnv, ScaleRejectsMalformedAndOverflowingValues)
+{
+    for (const char* bad : {"-1", "abc", "2x", "0", "", " 2", "+2",
+                            "99999999999999999999999"}) {
+        ScopedEnv env("HAMS_BENCH_SCALE", bad);
+        std::string msg = fatalMessage([] { bench::scale(); });
+        EXPECT_NE(msg.find("HAMS_BENCH_SCALE"), std::string::npos)
+            << "'" << bad << "' accepted";
+    }
+    // Parses, but 2^62 x the 1 GiB SSD would wrap the scaled geometry.
+    ScopedEnv env("HAMS_BENCH_SCALE", "4611686018427387904");
+    std::string msg = fatalMessage([] { BenchGeometry::scaled(); });
+    EXPECT_NE(msg.find("HAMS_BENCH_SCALE"), std::string::npos);
+    EXPECT_NE(msg.find("overflows"), std::string::npos) << msg;
+}
+
+TEST(BenchEnv, ThreadsRejectsMalformedValues)
+{
+    std::vector<SweepCell> cells = {{"oracle", "rndRd", tinyGeom()}};
+    for (const char* bad : {"-1", "abc", "2x", "0"}) {
+        ScopedEnv env("HAMS_BENCH_THREADS", bad);
+        std::string msg = fatalMessage([&] { bench::runSweep(cells); });
+        EXPECT_NE(msg.find("HAMS_BENCH_THREADS"), std::string::npos)
+            << "'" << bad << "' accepted";
+    }
+}
+
+// ---------------------------------------------------------------------
+// bench::Report: one column declaration -> stdout table + JSON + gates.
+// ---------------------------------------------------------------------
+
+/**
+ * Minimal JSON syntax check (objects, arrays, strings, numbers,
+ * literals): @return whether @p text is exactly one JSON value.
+ */
+class JsonChecker
+{
+  public:
+    static bool valid(const std::string& text)
+    {
+        JsonChecker c{text};
+        return c.value() && (c.ws(), c.pos == text.size());
+    }
+
+  private:
+    explicit JsonChecker(const std::string& t) : text(t) {}
+
+    void ws()
+    {
+        while (pos < text.size() &&
+               std::isspace(static_cast<unsigned char>(text[pos])))
+            ++pos;
+    }
+    bool eat(char c)
+    {
+        ws();
+        if (pos < text.size() && text[pos] == c) {
+            ++pos;
+            return true;
+        }
+        return false;
+    }
+    bool string()
+    {
+        if (!eat('"'))
+            return false;
+        while (pos < text.size() && text[pos] != '"')
+            pos += text[pos] == '\\' ? 2 : 1;
+        return pos++ < text.size();
+    }
+    template <typename Item>
+    bool list(char open, char close, Item item)
+    {
+        if (!eat(open))
+            return false;
+        if (eat(close))
+            return true;
+        do {
+            if (!item())
+                return false;
+        } while (eat(','));
+        return eat(close);
+    }
+    bool value()
+    {
+        ws();
+        if (pos >= text.size())
+            return false;
+        char c = text[pos];
+        if (c == '{')
+            return list('{', '}',
+                        [&] { return string() && eat(':') && value(); });
+        if (c == '[')
+            return list('[', ']', [&] { return value(); });
+        if (c == '"')
+            return string();
+        for (const char* lit : {"true", "false", "null"})
+            if (text.compare(pos, std::strlen(lit), lit) == 0) {
+                pos += std::strlen(lit);
+                return true;
+            }
+        std::size_t start = pos;
+        if (text[pos] == '-')
+            ++pos;
+        while (pos < text.size() &&
+               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
+                std::strchr(".eE+-", text[pos])))
+            ++pos;
+        return pos > start;
+    }
+
+    const std::string& text;
+    std::size_t pos = 0;
+};
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** A report over three columns declared in non-alphabetical order. */
+struct ReportFixture : ::testing::Test
+{
+    std::string path = ::testing::TempDir() + "bench_report_test.json";
+    ScopedEnv env{"HAMS_BENCH_JSON", path.c_str()};
+
+    static std::vector<bench::Report::Column> columns()
+    {
+        return {{"name", "%s", "name", "%-6s"},
+                {"zeta", "%.2f", "z", "%6.1f"},
+                {"alpha", "%llu"},
+                {nullptr, nullptr, "tbl", "%4llu"},
+                {"ok", "%s", "ok?", "%4s"}};
+    }
+
+    /** Run a report with @p n rows; returns its stdout. */
+    std::string run(std::size_t n, int& rc)
+    {
+        ::testing::internal::CaptureStdout();
+        bench::Report rep("test", columns());
+        rep.meta("note", "a \"quoted\" note");
+        rep.meta("flag", true);
+        for (std::size_t i = 0; i < n; ++i)
+            rep.row({"r" + std::to_string(i), 1.5 * i, std::uint64_t{i},
+                     std::uint64_t{7}, i % 2 == 0});
+        rc = rep.finish();
+        return ::testing::internal::GetCapturedStdout();
+    }
+};
+
+TEST_F(ReportFixture, JsonParsesWithZeroOneAndManyRows)
+{
+    for (std::size_t n : {0u, 1u, 5u}) {
+        int rc = -1;
+        run(n, rc);
+        EXPECT_EQ(rc, 0);
+        std::string json = readFile(path);
+        EXPECT_TRUE(JsonChecker::valid(json)) << n << " rows:\n" << json;
+        std::size_t names = 0;
+        for (std::size_t at = 0;
+             (at = json.find("\"name\"", at)) != std::string::npos; ++at)
+            ++names;
+        EXPECT_EQ(names, n);
+    }
+    EXPECT_FALSE(JsonChecker::valid("{\"a\": 1,}")); // the checker bites
+}
+
+TEST_F(ReportFixture, KeysFollowDeclarationOrder)
+{
+    int rc = -1;
+    std::string out = run(2, rc);
+    EXPECT_EQ(readFile(path),
+              "{\n"
+              "  \"note\": \"a \\\"quoted\\\" note\",\n"
+              "  \"flag\": true,\n"
+              "  \"benchmarks\": [\n"
+              "    {\"name\": \"r0\", \"zeta\": 0.00, \"alpha\": 0, "
+              "\"ok\": true},\n"
+              "    {\"name\": \"r1\", \"zeta\": 1.50, \"alpha\": 1, "
+              "\"ok\": false}\n"
+              "  ]\n"
+              "}\n");
+    // The table shows only the columns with a header, each header as
+    // wide as its cells.
+    EXPECT_NE(out.find("\nname        z  tbl  ok?\n"
+                       "r0        0.0    7  yes\n"
+                       "r1        1.5    7   NO\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("Results written to " + path), std::string::npos);
+}
+
+TEST_F(ReportFixture, FailingGateMakesFinishNonZero)
+{
+    ::testing::internal::CaptureStdout();
+    bench::Report rep("test", columns());
+    rep.gate(true, "holds");
+    rep.gate(false, "cell x diverged");
+    int rc = rep.finish();
+    std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(rc, 0);
+    EXPECT_NE(out.find("FAIL: cell x diverged"), std::string::npos) << out;
+    EXPECT_EQ(out.find("FAIL: holds"), std::string::npos) << out;
+}
+
+TEST_F(ReportFixture, UnwritableJsonPathFails)
+{
+    std::string bad = ::testing::TempDir() + "no_such_dir/BENCH_test.json";
+    ScopedEnv unwritable("HAMS_BENCH_JSON", bad.c_str());
+    ::testing::internal::CaptureStdout();
+    bench::Report rep("test", columns());
+    rep.row({"r0", 1.0, std::uint64_t{1}, std::uint64_t{1}, true});
+    int rc = rep.finish();
+    std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(rc, 0);
+    EXPECT_NE(out.find(bad), std::string::npos) << out;
+}
+
+TEST_F(ReportFixture, MisdeclaredRowsThrow)
+{
+    ::testing::internal::CaptureStdout();
+    bench::Report rep("test", columns());
+    // Too few values for the declared columns.
+    EXPECT_THROW(rep.row({"r0", 1.0}), std::logic_error);
+    // An integer where the declaration says %f.
+    EXPECT_THROW(rep.row({"r0", std::uint64_t{1}, std::uint64_t{1},
+                          std::uint64_t{1}, true}),
+                 std::logic_error);
+    ::testing::internal::GetCapturedStdout();
+    EXPECT_THROW(bench::Report("test", {{"k", "%d", "k", "%5d"}}),
+                 std::logic_error);
 }
 
 } // namespace

@@ -27,6 +27,8 @@
 #include "ssd/dram_buffer.hh"
 #include "workload/workload.hh"
 
+#include "same_run.hh"
+
 namespace hams {
 namespace {
 
@@ -289,22 +291,6 @@ smallMmap(const TieringConfig& tiering, bool background_gc = true)
     c.ftl.gcStreamBlocks = 1;
     c.tiering = tiering;
     return std::make_unique<MmapPlatform>(c);
-}
-
-void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
-{
-    EXPECT_EQ(a.simTime, b.simTime) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.platformAccesses, b.platformAccesses) << what;
-    EXPECT_EQ(a.opsCompleted, b.opsCompleted) << what;
-    EXPECT_EQ(a.activeTime, b.activeTime) << what;
-    EXPECT_EQ(a.stallTime, b.stallTime) << what;
-    EXPECT_EQ(a.flushTime, b.flushTime) << what;
-    EXPECT_EQ(a.stallBreakdown.os, b.stallBreakdown.os) << what;
-    EXPECT_EQ(a.stallBreakdown.nvdimm, b.stallBreakdown.nvdimm) << what;
-    EXPECT_EQ(a.stallBreakdown.dma, b.stallBreakdown.dma) << what;
-    EXPECT_EQ(a.stallBreakdown.ssd, b.stallBreakdown.ssd) << what;
 }
 
 void
