@@ -21,6 +21,7 @@
 #include "core/mos_tag_array.hh"
 #include "cpu/cache_model.hh"
 #include "dram/dram_device.hh"
+#include "flash/fil.hh"
 #include "ftl/page_ftl.hh"
 #include "mem/sparse_memory.hh"
 #include "nvme/queue_pair.hh"
@@ -153,6 +154,55 @@ BM_FtlAllocate(benchmark::State& state)
     reportAllocRate(state, allocs);
 }
 BENCHMARK(BM_FtlAllocate);
+
+/**
+ * A foreground read that suspends background work, with N tracked
+ * background erases spread one per die over the first N of 256 dies.
+ * Each read goes to a die holding one of them, so every read suspends
+ * exactly one op; the other N - 1 sit on other dies. The suspension
+ * extends its own die's ops only, so ns/op must not grow with N.
+ */
+void
+BM_FilSuspendWithLiveOps(benchmark::State& state)
+{
+    FlashGeometry g;
+    g.channels = 16;
+    g.packagesPerChannel = 8;
+    g.diesPerPackage = 2;
+    Fil fil(g, NandTiming::zNand());
+    auto dieAddress = [&g](std::uint64_t die) {
+        return FlashAddress{
+            static_cast<std::uint32_t>(die % g.channels),
+            static_cast<std::uint32_t>(die / g.channels %
+                                       g.packagesPerChannel),
+            static_cast<std::uint32_t>(die / g.channels /
+                                       g.packagesPerChannel),
+            0, 0, 0}.flatten(g);
+    };
+    const auto live = static_cast<std::uint64_t>(state.range(0));
+    std::vector<FlashOpHandle> ops;
+    for (std::uint64_t die = 0; die < live; ++die)
+        ops.push_back(fil.submitTracked(
+            {FlashOp::Type::Erase, dieAddress(die), 0, true}, 0));
+    // Each read finds its die's erase pending, suspends it and pushes
+    // it out by the read's occupancy, so the next read on that die
+    // suspends again.
+    std::uint64_t next = 0;
+    Tick t = 0;
+    std::uint64_t suspensions = fil.activity().suspensions;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state)
+        t = fil.submit(
+            {FlashOp::Type::Read, dieAddress(next++ % live), 4096}, 0);
+    benchmark::DoNotOptimize(t);
+    reportAllocRate(state, allocs);
+    state.counters["suspensions_per_op"] = benchmark::Counter(
+        static_cast<double>(fil.activity().suspensions - suspensions) /
+        static_cast<double>(state.iterations()));
+    for (FlashOpHandle h : ops)
+        fil.release(h);
+}
+BENCHMARK(BM_FilSuspendWithLiveOps)->Arg(16)->Arg(256);
 
 void
 BM_QueuePairPushFetch(benchmark::State& state)

@@ -1,13 +1,50 @@
 #include "flash/fil.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
 namespace hams {
 
+namespace {
+
+/**
+ * Reject a flash configuration the model cannot time: a zero count
+ * divides by zero in FlashAddress::decompose, and a non-positive or
+ * non-finite channel bandwidth turns transferTime into an out-of-range
+ * float-to-Tick cast. Each failure is a fatal naming the field.
+ */
+const FlashGeometry&
+checkedGeometry(const FlashGeometry& g, const NandTiming& t)
+{
+    const struct
+    {
+        const char* name;
+        std::uint32_t value;
+    } counts[] = {
+        {"channels", g.channels},
+        {"packagesPerChannel", g.packagesPerChannel},
+        {"diesPerPackage", g.diesPerPackage},
+        {"planesPerDie", g.planesPerDie},
+        {"blocksPerPlane", g.blocksPerPlane},
+        {"pagesPerBlock", g.pagesPerBlock},
+        {"pageSize", g.pageSize},
+    };
+    for (const auto& c : counts)
+        if (c.value == 0)
+            fatal("FlashGeometry::", c.name, " is 0; every flash "
+                  "geometry count must be positive");
+    if (!std::isfinite(t.channelBandwidth) || t.channelBandwidth <= 0)
+        fatal("NandTiming::channelBandwidth is ", t.channelBandwidth,
+              "; it must be a finite positive bytes/s");
+    return g;
+}
+
+} // namespace
+
 Fil::Fil(const FlashGeometry& geom, const NandTiming& timing)
-    : _timing(timing), pool(geom)
+    : _timing(timing), pool(checkedGeometry(geom, timing))
 {
     channelFree.assign(geom.channels, 0);
     channelBgFree.assign(geom.channels, 0);
@@ -47,7 +84,7 @@ Fil::submitTracked(const FlashOp& op, Tick at)
     // Only a read's completion is a channel transfer (register drain);
     // program/erase completions are cell work, whose extensions come
     // from the die-suspension push alone.
-    return pool.trackOp(a, submit(op, at),
+    return pool.trackOp(a, submitAt(op, a, at),
                         /*transfer_tailed=*/op.type ==
                             FlashOp::Type::Read);
 }
@@ -55,7 +92,13 @@ Fil::submitTracked(const FlashOp& op, Tick at)
 Tick
 Fil::submit(const FlashOp& op, Tick at)
 {
-    FlashAddress a = FlashAddress::decompose(op.ppn, pool.geometry());
+    return submitAt(op, FlashAddress::decompose(op.ppn, pool.geometry()),
+                    at);
+}
+
+Tick
+Fil::submitAt(const FlashOp& op, const FlashAddress& a, Tick at)
+{
     if (op.bytes > pool.geometry().pageSize)
         panic("flash op bytes ", op.bytes, " exceed page size ",
               pool.geometry().pageSize);

@@ -121,9 +121,12 @@ class Fil
      */
     HAMS_COLD_PATH void reset();
 
-  HAMS_HOT_PATH private:
-    Tick read(const FlashAddress& a, std::uint32_t bytes, Tick at,
-              bool background);
+  private:
+    /** submit() with @p op's address already decomposed into @p a. */
+    HAMS_HOT_PATH Tick submitAt(const FlashOp& op, const FlashAddress& a,
+                                Tick at);
+    HAMS_HOT_PATH Tick read(const FlashAddress& a, std::uint32_t bytes,
+                            Tick at, bool background);
     HAMS_HOT_PATH Tick program(const FlashAddress& a, std::uint32_t bytes, Tick at,
                  bool background);
     HAMS_HOT_PATH Tick erase(const FlashAddress& a, Tick at, bool background);

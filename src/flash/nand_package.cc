@@ -14,6 +14,7 @@ NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
     planeFree.assign(dies * geom.planesPerDie, 0);
     dieBgFree.assign(dies, 0);
     planeBgFree.assign(dies * geom.planesPerDie, 0);
+    opHeads.assign(dies + geom.channels, nil);
 }
 
 std::size_t
@@ -102,11 +103,23 @@ NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
     // extension preserves the relative order of ops on the same die,
     // so the latest-latched op stays the latest — the FTL relies on
     // this to track one handle per GC slice.
-    auto die = static_cast<std::uint32_t>(dieIndex(a));
-    for (std::uint32_t slot : liveOps) {
+    extendList(static_cast<std::uint32_t>(dieIndex(a)), from, delta);
+}
+
+void
+NandPackagePool::bumpChannelOps(std::uint32_t ch, Tick from, Tick delta)
+{
+    extendList(channelList(ch), from, delta);
+}
+
+void
+NandPackagePool::extendList(std::uint32_t list, Tick from, Tick delta)
+{
+    for (std::uint32_t slot = opHeads[list]; slot != nil;) {
         OpRecord& r = ops[slot];
-        if (!r.transferTailed && r.die == die && r.completion > from)
+        if (r.completion > from)
             r.completion += delta;
+        slot = r.next;
     }
 }
 
@@ -114,26 +127,29 @@ FlashOpHandle
 NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
                          bool transfer_tailed)
 {
-    std::uint32_t slot;
-    if (!freeOps.empty()) {
-        slot = freeOps.back();
-        freeOps.pop_back();
+    std::uint32_t slot = freeHead;
+    if (slot != nil) {
+        freeHead = ops[slot].next;
     } else {
         slot = static_cast<std::uint32_t>(ops.size());
         HAMS_LINT_SUPPRESS("op-arena growth to the high-water mark of "
                            "tracked flash ops; steady state recycles "
-                           "slots off freeOps")
+                           "slots off the free stack")
         ops.emplace_back();
     }
     OpRecord& r = ops[slot];
     r.live = true;
-    r.transferTailed = transfer_tailed;
-    r.die = static_cast<std::uint32_t>(dieIndex(a));
-    r.channel = a.channel;
+    r.list = transfer_tailed ? channelList(a.channel)
+                             : static_cast<std::uint32_t>(dieIndex(a));
     r.completion = completion;
-    HAMS_LINT_SUPPRESS("live-op list capacity is bounded by the op arena; "
-                       "steady state swap-removes as it pushes")
-    liveOps.push_back(slot);
+    // Link at the head of the die's or channel's list.
+    std::uint32_t& head = opHeads[r.list];
+    r.prev = nil;
+    r.next = head;
+    if (head != nil)
+        ops[head].prev = slot;
+    head = slot;
+    ++liveCount;
     return {slot, r.gen};
 }
 
@@ -154,26 +170,31 @@ NandPackagePool::releaseOp(FlashOpHandle h)
         !ops[h.slot].live)
         panic("releaseOp on a stale or invalid FlashOpHandle (slot ",
               h.slot, " gen ", h.gen, ")");
-    OpRecord& r = ops[h.slot];
-    r.live = false;
-    ++r.gen;
-    // liveOps order is irrelevant (extensions apply a uniform delta),
-    // so swap-with-back instead of shifting the tail.
-    auto it = std::find(liveOps.begin(), liveOps.end(), h.slot);
-    *it = liveOps.back();
-    liveOps.pop_back();
-    HAMS_LINT_SUPPRESS("free-list growth is bounded by the op arena")
-    freeOps.push_back(h.slot);
+    unlinkOp(ops[h.slot]);
+    pushFree(h.slot);
+    --liveCount;
 }
 
 void
-NandPackagePool::bumpChannelOps(std::uint32_t ch, Tick from, Tick delta)
+NandPackagePool::unlinkOp(OpRecord& r)
 {
-    for (std::uint32_t slot : liveOps) {
-        OpRecord& r = ops[slot];
-        if (r.transferTailed && r.channel == ch && r.completion > from)
-            r.completion += delta;
-    }
+    if (r.prev != nil)
+        ops[r.prev].next = r.next;
+    else
+        opHeads[r.list] = r.next;
+    if (r.next != nil)
+        ops[r.next].prev = r.prev;
+}
+
+void
+NandPackagePool::pushFree(std::uint32_t slot)
+{
+    OpRecord& r = ops[slot];
+    r.live = false;
+    ++r.gen;
+    r.prev = nil;
+    r.next = freeHead;
+    freeHead = slot;
 }
 
 void
@@ -185,12 +206,14 @@ NandPackagePool::reset()
     std::fill(planeBgFree.begin(), planeBgFree.end(), 0);
     // Power cycle: every outstanding handle dies with the in-flight
     // work. Generation bumps make pre-reset handles detectably stale.
-    for (std::uint32_t slot : liveOps) {
-        ops[slot].live = false;
-        ++ops[slot].gen;
-        freeOps.push_back(slot);
+    for (std::uint32_t& head : opHeads) {
+        while (head != nil) {
+            std::uint32_t slot = head;
+            head = ops[slot].next;
+            pushFree(slot);
+        }
     }
-    liveOps.clear();
+    liveCount = 0;
 }
 
 } // namespace hams

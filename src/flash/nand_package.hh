@@ -24,6 +24,15 @@
  * finish", which is what lets the FTL's GC machines credit erased
  * blocks at the true erase-completion tick instead of the tick that
  * was latched at submit time.
+ *
+ * Live records are threaded on intrusive doubly-linked lists inside
+ * the slot arena: one list per die holds its cell-tailed ops, one list
+ * per channel its transfer-tailed ops — exactly the set each extension
+ * touches. A suspension walks one die's list and a channel bump one
+ * channel's list, never the whole complex; tracking and releasing an
+ * op link and unlink it in O(1). Free slots form a LIFO stack through
+ * the same `next` field. Each record's extension is independent of
+ * every other's, so list order never affects a completion.
  */
 
 #ifndef HAMS_FLASH_NAND_PACKAGE_HH_
@@ -130,7 +139,10 @@ class NandPackagePool
     /** Current (suspension-extended) completion tick of a live op. */
     Tick completionOf(FlashOpHandle h) const;
 
-    /** Retire a tracked op; its handle becomes invalid. */
+    /**
+     * Retire a tracked op: unlink it from its die or channel list and
+     * push its slot on the free stack. Its handle becomes invalid.
+     */
     void releaseOp(FlashOpHandle h);
 
     /**
@@ -144,7 +156,7 @@ class NandPackagePool
     void bumpChannelOps(std::uint32_t ch, Tick from, Tick delta);
 
     /** Live tracked ops (leak check for tests). */
-    std::size_t liveTrackedOps() const { return liveOps.size(); }
+    std::size_t liveTrackedOps() const { return liveCount; }
     ///@}
 
     /** Clear all busy state and invalidate every handle (power cycle). */
@@ -156,16 +168,35 @@ class NandPackagePool
     std::size_t dieIndex(const FlashAddress& a) const;
     std::size_t planeIndex(const FlashAddress& a) const;
 
-    /** One tracked in-flight background op. */
+    /** End of a list (and of the free stack). */
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
+
+    /** One tracked in-flight background op (or a free arena slot). */
     struct OpRecord
     {
         std::uint32_t gen = 1;
         bool live = false;
-        bool transferTailed = false;
-        std::uint32_t die = 0;
-        std::uint32_t channel = 0;
+        /**
+         * Index into opHeads: the die's list (cell-tailed) or
+         * dies + channel (transfer-tailed).
+         */
+        std::uint32_t list = 0;
+        std::uint32_t prev = nil; //!< previous live record on the list
+        std::uint32_t next = nil; //!< next live record, or next free slot
         Tick completion = 0;
     };
+
+    /** opHeads index of channel @p ch's transfer-tailed list. */
+    std::uint32_t
+    channelList(std::uint32_t ch) const
+    {
+        return static_cast<std::uint32_t>(dieFree.size()) + ch;
+    }
+
+    /** Extend every op on list @p list still in flight past @p from. */
+    void extendList(std::uint32_t list, Tick from, Tick delta);
+    void unlinkOp(OpRecord& r);
+    void pushFree(std::uint32_t slot);
 
     FlashGeometry geom;
     std::vector<Tick> dieFree;    //!< foreground timeline
@@ -173,9 +204,14 @@ class NandPackagePool
     std::vector<Tick> dieBgFree;  //!< background timeline
     std::vector<Tick> planeBgFree;//!< background timeline
 
-    std::vector<OpRecord> ops;          //!< handle arena
-    std::vector<std::uint32_t> freeOps; //!< recycled arena slots
-    std::vector<std::uint32_t> liveOps; //!< slots to scan on extension
+    std::vector<OpRecord> ops; //!< handle arena
+    /**
+     * List heads: [0, dies) hold each die's cell-tailed ops,
+     * [dies, dies + channels) each channel's transfer-tailed ops.
+     */
+    std::vector<std::uint32_t> opHeads;
+    std::uint32_t freeHead = nil; //!< top of the free-slot stack
+    std::size_t liveCount = 0;
 };
 
 } // namespace hams
