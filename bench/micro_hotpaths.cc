@@ -28,6 +28,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "ssd/device_configs.hh"
+#include "ssd/dram_buffer.hh"
 
 namespace {
 
@@ -228,6 +229,35 @@ BM_CacheModelAccess(benchmark::State& state)
     benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_CacheModelAccess);
+
+/**
+ * One msync-sized dirtyFrames() round over the mmap_sql_update page
+ * cache: 48 MiB of 4 KiB frames, all resident, 64 of them dirty and
+ * spread evenly through the LRU order. The caller's scratch is reused,
+ * so allocs_per_op must read 0.
+ */
+void
+BM_DramBufferDirtyFrames(benchmark::State& state)
+{
+    DramBufferConfig cfg;
+    cfg.capacity = 48ull << 20;
+    DramBuffer buf(cfg);
+    const std::uint64_t frames = buf.maxFrames();
+    for (std::uint64_t i = 0; i < frames; ++i)
+        buf.insert(i * 3, /*dirty=*/i % (frames / 64) == 0);
+    std::vector<std::uint64_t> scratch;
+    buf.dirtyFrames(scratch);
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state) {
+        buf.dirtyFrames(scratch);
+        benchmark::DoNotOptimize(scratch.data());
+        benchmark::ClobberMemory();
+    }
+    reportAllocRate(state, allocs);
+    state.counters["dirty_frames"] =
+        benchmark::Counter(static_cast<double>(scratch.size()));
+}
+BENCHMARK(BM_DramBufferDirtyFrames);
 
 void
 BM_SparseMemoryWrite4K(benchmark::State& state)

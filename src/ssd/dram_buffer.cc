@@ -21,6 +21,8 @@ DramBuffer::DramBuffer(const DramBufferConfig& cfg)
         size <<= 1;
     table.assign(size, 0);
     tableMask = static_cast<std::uint32_t>(size - 1);
+    // The arena never outgrows capacityFrames, so neither does this.
+    dirtyBits.assign((capacityFrames + 63) / 64, 0);
 }
 
 Tick
@@ -91,6 +93,7 @@ DramBuffer::allocNode()
 void
 DramBuffer::freeNode(std::uint32_t node)
 {
+    setDirty(node, false);
     nodes[node].next = freeHead;
     freeHead = node;
 }
@@ -138,7 +141,7 @@ bool
 DramBuffer::isDirty(std::uint64_t key) const
 {
     std::uint32_t slot = findSlot(key);
-    return table[slot] != 0 && nodes[table[slot] - 1].dirty;
+    return table[slot] != 0 && nodeDirty(table[slot] - 1);
 }
 
 BufferEviction
@@ -150,7 +153,8 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
         std::uint32_t node = table[slot] - 1;
         lruUnlink(node);
         lruPushFront(node);
-        nodes[node].dirty = nodes[node].dirty || dirty;
+        if (dirty)
+            setDirty(node, true);
         return ev;
     }
 
@@ -162,7 +166,7 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
                 victim = pick;
         }
         ev.happened = true;
-        ev.dirty = nodes[victim].dirty;
+        ev.dirty = nodeDirty(victim);
         ev.frameKey = nodes[victim].key;
         lruUnlink(victim);
         eraseSlot(findSlot(nodes[victim].key));
@@ -175,7 +179,7 @@ DramBuffer::insert(std::uint64_t key, bool dirty)
 
     std::uint32_t node = allocNode();
     nodes[node].key = key;
-    nodes[node].dirty = dirty;
+    setDirty(node, dirty);
     lruPushFront(node);
     table[slot] = node + 1;
     ++resident;
@@ -187,7 +191,7 @@ DramBuffer::markClean(std::uint64_t key)
 {
     std::uint32_t slot = findSlot(key);
     if (table[slot] != 0)
-        nodes[table[slot] - 1].dirty = false;
+        setDirty(table[slot] - 1, false);
 }
 
 void
@@ -215,12 +219,14 @@ void
 DramBuffer::dirtyFrames(std::vector<std::uint64_t>& out) const
 {
     out.clear();
-    for (std::uint32_t n = lruHead; n != nil; n = nodes[n].next)
-        if (nodes[n].dirty)
+    // Keys are unique, so sorting makes the order independent of where
+    // each frame's node sits in the arena.
+    for (std::size_t w = 0; w < dirtyBits.size(); ++w)
+        for (std::uint64_t bits = dirtyBits[w]; bits != 0; bits &= bits - 1)
             HAMS_LINT_SUPPRESS("caller-owned scratch grows to the dirty "
                                "high-water mark; capacity is reused "
                                "across calls")
-            out.push_back(nodes[n].key);
+            out.push_back(nodes[w * 64 + __builtin_ctzll(bits)].key);
     std::sort(out.begin(), out.end());
 }
 
@@ -248,6 +254,7 @@ void
 DramBuffer::dropAll()
 {
     std::fill(table.begin(), table.end(), 0);
+    std::fill(dirtyBits.begin(), dirtyBits.end(), 0);
     nodes.clear();
     freeHead = nil;
     lruHead = nil;

@@ -16,6 +16,12 @@
  * per 4 KiB block, so lookup/insert/evict are allocation-free — an
  * intrusive doubly-linked LRU over a node arena, indexed by an
  * open-addressing hash table (linear probing, backward-shift delete).
+ *
+ * Dirty state lives in one place: a bitmap with one bit per arena node,
+ * sized to the capacity at construction, so marking a frame dirty or
+ * clean never allocates. Writeback rounds and msync (dirtyFrames) scan
+ * its words instead of the LRU list, so finding d dirty frames costs
+ * O(capacity / 64 + d log d), not O(resident).
  */
 
 #ifndef HAMS_SSD_DRAM_BUFFER_HH_
@@ -111,13 +117,15 @@ class DramBuffer
     /** Remove a frame (invalidate). */
     HAMS_HOT_PATH void erase(std::uint64_t key);
 
-    /** All dirty frame keys (flush / supercap drain). */
+    /** All dirty frame keys, sorted (flush / supercap drain). */
     HAMS_COLD_PATH std::vector<std::uint64_t> dirtyFrames() const;
 
     /**
      * Allocation-free variant for per-access paths (the mmap
      * writeback watermark check runs on every newly dirtied page):
-     * fills @p out — cleared, sorted — reusing its capacity.
+     * fills @p out — cleared, sorted by key — reusing its capacity.
+     * Scans the dirty bitmap, not the LRU list: O(capacity / 64 +
+     * d log d) for d dirty frames, however many are resident.
      */
     HAMS_HOT_PATH void dirtyFrames(std::vector<std::uint64_t>& out) const;
 
@@ -147,20 +155,19 @@ class DramBuffer
     HAMS_HOT_PATH bool
     nodeDirty(std::uint32_t node) const
     {
-        return nodes[node].dirty;
+        return (dirtyBits[node >> 6] >> (node & 63)) & 1;
     }
     ///@}
 
   private:
     static constexpr std::uint32_t nil = nilNode;
 
-    /** One resident frame: intrusive LRU links + metadata. */
+    /** One resident frame: key + intrusive LRU links. */
     struct Node
     {
         std::uint64_t key;
         std::uint32_t prev;
         std::uint32_t next;
-        bool dirty;
     };
 
     std::uint32_t idealSlot(std::uint64_t key) const
@@ -178,7 +185,16 @@ class DramBuffer
     void eraseSlot(std::uint32_t slot);
 
     std::uint32_t allocNode();
+    /** Return @p node to the free list; clears its dirty bit. */
     void freeNode(std::uint32_t node);
+
+    void
+    setDirty(std::uint32_t node, bool dirty)
+    {
+        std::uint64_t bit = std::uint64_t(1) << (node & 63);
+        std::uint64_t& word = dirtyBits[node >> 6];
+        word = dirty ? (word | bit) : (word & ~bit);
+    }
 
     /** @name Intrusive LRU list (head = most recent). */
     ///@{
@@ -197,6 +213,8 @@ class DramBuffer
     std::uint32_t lruHead = nil;
     std::uint32_t lruTail = nil;
     std::size_t resident = 0;
+    /** Dirty bit per arena node; capacityFrames bits, never grows. */
+    std::vector<std::uint64_t> dirtyBits;
 
     /** Open-addressing table of node index + 1 (0 = empty). */
     std::vector<std::uint32_t> table;

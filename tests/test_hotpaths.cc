@@ -20,6 +20,7 @@
 #include "baselines/mmap_platform.hh"
 #include "baselines/oracle_platform.hh"
 #include "core/hams_system.hh"
+#include "core/hotness_tracker.hh"
 #include "ssd/device_configs.hh"
 #include "ssd/ssd.hh"
 #include "cpu/core_model.hh"
@@ -320,11 +321,20 @@ TEST(SparseMemorySpan, SteadyStateOverwriteIsAllocationFree)
 // DramBuffer: intrusive LRU + open-addressing table vs reference model.
 // ---------------------------------------------------------------------
 
-/** Straightforward list+map LRU to differentially test against. */
+/**
+ * Straightforward list+map LRU to differentially test against. With a
+ * hot set it mirrors makeColdFirstSelector: evict the first non-hot
+ * frame among the @p scan LRU-tail candidates, else the exact tail.
+ */
 class ReferenceLru
 {
   public:
-    explicit ReferenceLru(std::size_t capacity) : cap(capacity) {}
+    explicit ReferenceLru(std::size_t capacity,
+                          const std::vector<bool>* hot_keys = nullptr,
+                          std::uint32_t scan = 0)
+        : cap(capacity), hot(hot_keys), scanLimit(scan)
+    {
+    }
 
     bool
     lookup(std::uint64_t key)
@@ -347,16 +357,41 @@ class ReferenceLru
             return ev;
         }
         if (pos.size() >= cap) {
-            std::uint64_t victim = order.back();
+            auto victim = std::prev(order.end());
+            auto cand = order.end();
+            for (std::uint32_t i = 0; hot && i < scanLimit; ++i) {
+                --cand;
+                if (!(*hot)[*cand]) {
+                    victim = cand;
+                    break;
+                }
+                if (cand == order.begin())
+                    break;
+            }
             ev.happened = true;
-            ev.dirty = pos[victim].second;
-            ev.frameKey = victim;
-            order.pop_back();
-            pos.erase(victim);
+            ev.dirty = pos[*victim].second;
+            ev.frameKey = *victim;
+            pos.erase(*victim);
+            order.erase(victim);
         }
         order.push_front(key);
         pos[key] = {order.begin(), dirty};
         return ev;
+    }
+
+    bool
+    isDirty(std::uint64_t key) const
+    {
+        auto it = pos.find(key);
+        return it != pos.end() && it->second.second;
+    }
+
+    void
+    markClean(std::uint64_t key)
+    {
+        auto it = pos.find(key);
+        if (it != pos.end())
+            it->second.second = false;
     }
 
     void
@@ -369,51 +404,116 @@ class ReferenceLru
         pos.erase(it);
     }
 
+    void
+    clear()
+    {
+        order.clear();
+        pos.clear();
+    }
+
+    /** Dirty keys in ascending order (the map is ordered by key). */
+    std::vector<std::uint64_t>
+    dirtyKeys() const
+    {
+        std::vector<std::uint64_t> out;
+        for (const auto& [key, entry] : pos)
+            if (entry.second)
+                out.push_back(key);
+        return out;
+    }
+
     std::size_t size() const { return pos.size(); }
 
   private:
     std::size_t cap;
+    const std::vector<bool>* hot;
+    std::uint32_t scanLimit;
     std::list<std::uint64_t> order;
     std::map<std::uint64_t, std::pair<std::list<std::uint64_t>::iterator,
                                       bool>>
         pos;
 };
 
-TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
+/**
+ * Seeded op stream (lookup, insert, erase, markClean, rare dropAll)
+ * against @p buf and @p ref. After every op the eviction, residency,
+ * the touched key's dirty bit and the sorted dirty-frame list must
+ * match.
+ */
+void
+churnAgainstReference(DramBuffer& buf, ReferenceLru& ref)
 {
-    DramBufferConfig cfg;
-    cfg.capacity = 16 * 4096; // 16 frames: constant eviction pressure
-    cfg.frameSize = 4096;
-    DramBuffer buf(cfg);
-    ReferenceLru ref(16);
-
     Rng rng(42);
+    std::vector<std::uint64_t> dirty;
     for (int i = 0; i < 20000; ++i) {
         std::uint64_t key = rng.below(64);
-        switch (rng.below(3)) {
-          case 0: {
+        std::uint64_t op = rng.below(100);
+        if (op < 30) {
             ASSERT_EQ(buf.lookup(key), ref.lookup(key)) << "op " << i;
-            break;
-          }
-          case 1: {
-            bool dirty = rng.below(2) == 0;
-            BufferEviction a = buf.insert(key, dirty);
-            BufferEviction b = ref.insert(key, dirty);
+        } else if (op < 70) {
+            bool d = rng.below(2) == 0;
+            BufferEviction a = buf.insert(key, d);
+            BufferEviction b = ref.insert(key, d);
             ASSERT_EQ(a.happened, b.happened) << "op " << i;
             if (a.happened) {
                 ASSERT_EQ(a.frameKey, b.frameKey) << "op " << i;
                 ASSERT_EQ(a.dirty, b.dirty) << "op " << i;
             }
-            break;
-          }
-          default: {
+        } else if (op < 85) {
             buf.erase(key);
             ref.erase(key);
-            break;
-          }
+        } else if (op < 99) {
+            buf.markClean(key);
+            ref.markClean(key);
+        } else {
+            buf.dropAll();
+            ref.clear();
         }
         ASSERT_EQ(buf.residentFrames(), ref.size()) << "op " << i;
+        ASSERT_EQ(buf.isDirty(key), ref.isDirty(key)) << "op " << i;
+        buf.dirtyFrames(dirty);
+        ASSERT_EQ(dirty, ref.dirtyKeys()) << "op " << i;
     }
+}
+
+DramBufferConfig
+churnBuffer()
+{
+    DramBufferConfig cfg;
+    cfg.capacity = 16 * 4096; // 16 frames: constant eviction pressure
+    cfg.frameSize = 4096;
+    return cfg;
+}
+
+TEST(DramBufferLru, MatchesReferenceModelUnderChurn)
+{
+    DramBuffer buf(churnBuffer());
+    ReferenceLru ref(16);
+    churnAgainstReference(buf, ref);
+}
+
+TEST(DramBufferLru, MatchesReferenceModelUnderColdFirstChurn)
+{
+    // Every fourth key is hot for the whole run (the epoch never
+    // turns), so the selector keeps evicting frames from inside the
+    // LRU list, and their nodes must leave the dirty index too.
+    TieringConfig tc;
+    tc.epochAccesses = 1u << 20;
+    tc.hotThreshold = 2;
+    HotnessTracker tracker(64 * 4096, tc);
+    std::vector<bool> hot(64, false);
+    for (std::uint64_t k = 0; k < 64; k += 4) {
+        hot[k] = true;
+        tracker.touch(k * 4096);
+        tracker.touch(k * 4096);
+    }
+    for (std::uint64_t k = 0; k < 64; ++k)
+        ASSERT_EQ(tracker.isHotFrame(k), hot[k]) << "key " << k;
+
+    DramBuffer buf(churnBuffer());
+    buf.setVictimSelector(makeColdFirstSelector(tracker, 4));
+    ReferenceLru ref(16, &hot, 4);
+    churnAgainstReference(buf, ref);
 }
 
 TEST(DramBufferLru, DirtyFramesScratchVariantIsAllocationFree)
