@@ -290,16 +290,18 @@ makePlatformOrThrow(const std::string& name, const BenchGeometry& geom)
     return platform;
 }
 
-} // namespace
-
-std::vector<RunResult>
-runSweep(const std::vector<SweepCell>& cells)
+/**
+ * runCells over single-core sweep cells: @p body(i, platform) gets
+ * cell i's freshly built platform.
+ */
+void
+runSweepCells(const std::vector<SweepCell>& cells,
+              const std::function<void(std::size_t, MemoryPlatform&)>& body)
 {
     // Quiet the platform-construction banners (workers re-set the
     // atomic flag harmlessly via makePlatform).
     setQuiet(true);
 
-    std::vector<RunResult> results(cells.size());
     runCells(
         cells.size(),
         [&](std::size_t i) {
@@ -308,9 +310,48 @@ runSweep(const std::vector<SweepCell>& cells)
         [&](std::size_t i) {
             auto platform =
                 makePlatformOrThrow(cells[i].platform, cells[i].geom);
-            results[i] =
-                runOn(*platform, cells[i].workload, cells[i].geom);
+            body(i, *platform);
         });
+}
+
+} // namespace
+
+std::vector<RunResult>
+runSweep(const std::vector<SweepCell>& cells)
+{
+    std::vector<RunResult> results(cells.size());
+    runSweepCells(cells, [&](std::size_t i, MemoryPlatform& platform) {
+        results[i] = runOn(platform, cells[i].workload, cells[i].geom);
+    });
+    return results;
+}
+
+std::vector<PaperCell>
+runPaperSweep(const std::vector<SweepCell>& cells)
+{
+    std::vector<PaperCell> results(cells.size());
+    runSweepCells(cells, [&](std::size_t i, MemoryPlatform& platform) {
+        PaperCell& c = results[i];
+        c.run = runOn(platform, cells[i].workload, cells[i].geom);
+        if (auto* hs = dynamic_cast<HamsSystem*>(&platform)) {
+            const HamsStats& st = hs->stats();
+            c.hitRatePct =
+                st.accesses ? 100.0 * st.hits / double(st.hits + st.misses)
+                            : 0;
+        }
+
+        bool flushed = false;
+        Tick end = 0;
+        platform.flush(platform.eventQueue().now(),
+                       [&](Tick t, const LatencyBreakdown&) {
+                           flushed = true;
+                           end = t;
+                       });
+        while (!flushed && platform.eventQueue().step()) {
+        }
+        c.energy = platform.memoryEnergy(std::max(c.run.simTime, end));
+        c.energy.cpu = c.run.cpuEnergyJ;
+    });
     return results;
 }
 

@@ -97,6 +97,32 @@ struct SweepCell
 std::vector<RunResult> runSweep(const std::vector<SweepCell>& cells);
 
 /**
+ * One cell of the paper's evaluation grid (Figs. 7a, 10a and 16-19):
+ * runOn's result, the HAMS hit rate, then the cell's energy after a
+ * durability flush.
+ */
+struct PaperCell
+{
+    RunResult run;
+    /** Percent of HAMS lookups that hit, since construction and read
+     *  before the flush; 0 on the other platforms. */
+    double hitRatePct = 0;
+    /**
+     * memoryEnergy() at max(run.simTime, end of the flush) — HAMS
+     * flushes at once (the NVDIMM is the persistence domain), mmap
+     * pays its msync writeback — with cpu set to run.cpuEnergyJ.
+     */
+    EnergyBreakdownJ energy;
+};
+
+/**
+ * Run every cell as runSweep does and keep each cell's hit rate and
+ * energy too; the same pool, ordering and error contract. Each cell's
+ * run equals runSweep's: the flush comes after it.
+ */
+std::vector<PaperCell> runPaperSweep(const std::vector<SweepCell>& cells);
+
+/**
  * One N-core cell of an SMP sweep (cpu/smp_model.hh): @p cores cores
  * with per-core workload shards against one shared platform.
  */

@@ -1,14 +1,12 @@
 /**
  * @file
- * Fig. 7 reproduction: why neither the software stack nor naive
- * hardware bypass suffices.
+ * Fig. 7(b) reproduction: why naive hardware bypass does not suffice.
+ * IPC of bypass strategies: NVDIMM, raw ULL as memory, ULL with a
+ * small page buffer (paper: 0.06 vs 0.001 vs 0.003 on the
+ * microbenchmarks).
  *
- *  (a) execution-time breakdown of the ULL-backed MMF system
- *      (mmap+I/O-stack vs SSD vs CPU; paper: software is 69% of time,
- *      the SSD only 13%) plus degradation vs an all-NVDIMM system
- *  (b) IPC of bypass strategies: NVDIMM, raw ULL as memory, ULL with a
- *      small page buffer (paper: 0.06 vs 0.001 vs 0.003 on the
- *      microbenchmarks)
+ * Fig. 7(a), the mmap execution breakdown, reads the paper grid and
+ * prints from fig_paper.
  */
 
 #include <cstdio>
@@ -23,7 +21,7 @@ main()
     using namespace hams;
     using namespace hams::bench;
 
-    banner("Fig. 7", "software overheads and naive-bypass IPC");
+    banner("Fig. 7(b)", "naive-bypass IPC");
     BenchGeometry geom = BenchGeometry::scaled();
 
     std::vector<std::string> workloads;
@@ -31,30 +29,6 @@ main()
         workloads.push_back(n);
     for (const auto& n : sqliteWorkloadNames())
         workloads.push_back(n);
-
-    // ---- (a) execution breakdown on mmap+ULL ----
-    std::printf("\n(a) mmap execution breakdown (fractions) and "
-                "degradation vs NVDIMM\n");
-    std::printf("%-10s %8s %8s %8s %8s %10s\n", "workload", "os",
-                "ssd", "dma", "cpu", "perf-deg%");
-    for (const auto& wl : workloads) {
-        auto mmap = makePlatform("mmap", geom);
-        RunResult r = runOn(*mmap, wl, geom);
-        auto oracle = makePlatform("oracle", geom);
-        RunResult o = runOn(*oracle, wl, geom);
-
-        double total = static_cast<double>(r.simTime);
-        double os = (r.stallBreakdown.os +
-                     static_cast<double>(r.flushTime)) / total;
-        double ssd = r.stallBreakdown.ssd / total;
-        double dma = r.stallBreakdown.dma / total;
-        double cpu = 1.0 - os - ssd - dma;
-        double deg = 100.0 * (1.0 - r.opsPerSec / o.opsPerSec);
-        std::printf("%-10s %8.2f %8.2f %8.2f %8.2f %9.1f%%\n",
-                    wl.c_str(), os, ssd, dma, cpu, deg);
-    }
-    std::printf("paper: mmap+I/O stack ~69%% of execution, SSD ~13%%; "
-                "selects are ~83%% CPU\n");
 
     // ---- (b) IPC of bypass strategies ----
     auto make_ull_direct = [&](bool buffered) {

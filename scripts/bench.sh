@@ -10,9 +10,9 @@
 # <name>     binary          what it records; exits non-zero when
 # hotpaths   micro_hotpaths  per-component host cost (google-benchmark;
 #                            extra args go to it); an argument is unknown
-# macro      macro_endtoend  host-ns per simulated access, fast path off
-#                            vs on; any cell's simulated outputs differ
-#                            between the two paths
+# paper      fig_paper       Figs. 7a, 10a and 16-19 from one 11 x 12
+#                            grid, and each claim against the paper; a
+#                            gated comparison leaves the paper's side
 # multicore  fig_multicore   N-core throughput, scaling efficiency and
 #                            the HAMS contention counters; never (no gates)
 # gc         fig_gc          foreground latency and throughput under
@@ -41,8 +41,7 @@ name="${1:?usage: scripts/bench.sh <name> [args...]}"
 shift
 case "${name}" in
   hotpaths) target=micro_hotpaths; set -- --benchmark_min_time=0.2 "$@" ;;
-  macro) target=macro_endtoend ;;
-  multicore | gc | recovery | scaleout | tiering) target="fig_${name}" ;;
+  paper | multicore | gc | recovery | scaleout | tiering) target="fig_${name}" ;;
   *) echo "scripts/bench.sh: unknown benchmark '${name}'" >&2; exit 2 ;;
 esac
 

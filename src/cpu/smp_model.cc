@@ -190,7 +190,7 @@ SmpModel::drive(CoreCtx& c, Tick horizon, bool lone)
             c.l2.access(r1.evictedLine, /*is_write=*/true);
 
         CacheResult r2 = c.l2.access(c.op.access.addr, is_write);
-        if (r2.evictedDirty && cfg.writebackEvictions) {
+        if (r2.evictedDirty) {
             // The dirty L2 victim's writeback goes to the platform
             // first; the saved L2 lookup then ends the instruction.
             c.wb = MemAccess{r2.evictedLine % platform.capacity(), 64,

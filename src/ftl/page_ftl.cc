@@ -49,12 +49,11 @@ PageFtl::PageFtl(const FlashGeometry& geom, Fil& fil, const FtlConfig& cfg)
         // LIFO pop order: push high indices first so block 0 pops first.
         for (std::uint32_t b = geom.blocksPerPlane; b-- > 0;)
             u.freeBlocks.push_back(freeKey(0, b));
-        // With wear leveling the vector is a min-heap on the packed
-        // (wear, block) key; fresh blocks pop in index order, exactly
-        // the old linear scan's order.
-        if (cfg.wearLeveling)
-            std::make_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                           std::greater<>());
+        // The vector is a min-heap on the packed (wear, block) key, so
+        // the least-worn block pops first; fresh blocks pop in index
+        // order, exactly the old linear scan's order.
+        std::make_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                       std::greater<>());
     }
 }
 
@@ -160,9 +159,8 @@ PageFtl::takeFreeBlock(Unit& u, std::uint64_t pu)
               _stats.paceLevel,
               ", gc machine ", u.gc.active ? "active" : "idle", ", mode ",
               backgroundGcEnabled() ? "background" : "synchronous", ")");
-    if (cfg.wearLeveling)
-        std::pop_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                      std::greater<>());
+    std::pop_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                  std::greater<>());
     std::uint64_t key = u.freeBlocks.back();
     u.freeBlocks.pop_back();
     return keyBlock(key);
@@ -175,9 +173,8 @@ PageFtl::pushFreeBlock(std::uint64_t pu, std::uint32_t block)
     HAMS_LINT_SUPPRESS("free-pool return; capacity is bounded by the "
                        "unit's physical block count")
     u.freeBlocks.push_back(freeKey(blockOf(pu, block).eraseCount, block));
-    if (cfg.wearLeveling)
-        std::push_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
-                       std::greater<>());
+    std::push_heap(u.freeBlocks.begin(), u.freeBlocks.end(),
+                   std::greater<>());
 }
 
 std::uint64_t

@@ -99,8 +99,6 @@ struct FtlConfig
     std::uint32_t gcLowWater = 2;
     /** GC stops once free blocks recover to this. */
     std::uint32_t gcHighWater = 4;
-    /** Prefer least-worn blocks when allocating (wear leveling). */
-    bool wearLeveling = true;
 
     /** @name Background GC (requires attachEventQueue()). */
     ///@{
@@ -433,10 +431,9 @@ class PageFtl
     struct Unit
     {
         /**
-         * Free blocks as packed (eraseCount << 32 | block) keys.
-         * With wear leveling the vector is a min-heap on the key, so
-         * the least-worn block pops in O(log n) (ties to the lowest
-         * block index); without leveling it is the original LIFO.
+         * Free blocks as packed (eraseCount << 32 | block) keys in a
+         * min-heap, so the least-worn block pops in O(log n) (wear
+         * leveling; ties to the lowest block index).
          */
         std::vector<std::uint64_t> freeBlocks;
         std::int64_t activeBlock = -1;

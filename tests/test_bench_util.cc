@@ -159,6 +159,32 @@ TEST(RunSweepDeterminism, TableIdenticalAcrossThreadCounts)
                             .c_str());
 }
 
+TEST(RunSweepDeterminism, PaperGridRunEqualsRunSweep)
+{
+    // runPaperSweep reads each cell's hit rate and flushes it for the
+    // energy after the run; none of that may reach the RunResult the
+    // figures print.
+    std::vector<SweepCell> cells = {
+        {"hams-TE", "rndWr", tinyGeom()},
+        {"mmap", "rndWr", tinyGeom()},
+    };
+    for (const char* threads : {"1", "4"}) {
+        ScopedEnv env("HAMS_BENCH_THREADS", threads);
+        std::vector<RunResult> sweep = bench::runSweep(cells);
+        std::vector<bench::PaperCell> grid = bench::runPaperSweep(cells);
+        ASSERT_EQ(grid.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            std::string what = cells[i].platform + " x " +
+                               cells[i].workload + ", threads " + threads;
+            expectIdentical(grid[i].run, sweep[i], what.c_str());
+            EXPECT_EQ(grid[i].energy.cpu, grid[i].run.cpuEnergyJ) << what;
+            EXPECT_GT(grid[i].energy.total(), grid[i].energy.cpu) << what;
+        }
+        EXPECT_GT(grid[0].hitRatePct, 0) << "hams-TE reads a hit rate";
+        EXPECT_EQ(grid[1].hitRatePct, 0) << "mmap has none";
+    }
+}
+
 TEST(RunSweepDeterminism, SmpSweepIdenticalAcrossThreadCounts)
 {
     std::vector<SmpSweepCell> cells = {

@@ -2,18 +2,20 @@
  * @file
  * Immediate-completion fast-path tests: the CoreModel trampoline with
  * tryAccess inline completions must be observationally identical to the
- * all-events path — every simulated-time field of RunResult, the HAMS
- * controller stats and the NVMe engine stats bit-for-bit — and the hit
- * path must stay allocation-free through the *full* core loop, not just
- * the controller.
+ * all-events path — every simulated-time field of RunResult, the
+ * event-queue time at every run boundary, the HAMS controller stats and
+ * the NVMe engine stats bit-for-bit — on nine bench cells at the bench
+ * geometry, and the hit path must stay allocation-free through the
+ * *full* core loop, not just the controller.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "baselines/mmap_platform.hh"
+#include "bench_util.hh"
 #include "core/hams_system.hh"
 #include "cpu/core_model.hh"
 #include "sim/alloc_hook.hh"
@@ -24,22 +26,10 @@
 namespace hams {
 namespace {
 
-std::unique_ptr<MmapPlatform>
-smallMmap()
-{
-    MmapConfig c;
-    c.dramBytes = 64ull << 20;
-    c.pageCacheBytes = 48ull << 20;
-    c.ssdRawBytes = 1ull << 30;
-    return std::make_unique<MmapPlatform>(c);
-}
-
 std::unique_ptr<HamsSystem>
-smallHams(HamsMode mode)
+smallHams()
 {
-    HamsSystemConfig c = mode == HamsMode::Persist
-                             ? HamsSystemConfig::tightPersist()
-                             : HamsSystemConfig::tightExtend();
+    HamsSystemConfig c = HamsSystemConfig::tightExtend();
     c.nvdimm.capacity = 96ull << 20;
     c.ssdRawBytes = 1ull << 30;
     c.pinnedBytes = 32ull << 20;
@@ -80,124 +70,109 @@ expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
     EXPECT_EQ(a.replayed, b.replayed) << what;
 }
 
+/** One (platform × workload) cell of the differential. */
+struct Cell
+{
+    const char* platform;
+    const char* workload;
+    /** Extend-mode HAMS: hits complete inline, so the fast path must
+     *  fire well under half the all-events run's events. */
+    bool inlineHits = false;
+};
+
 /**
- * Run @p workload twice (warmup + measure, the runOn() pattern — the
- * chained second run also checks event-queue time at run boundaries)
- * on two fresh, identical platforms, fast path forced on vs off, and
- * demand bit-identical simulated-time outputs.
+ * Hit-dominated cells, where the fast path engages, plus miss-heavy
+ * and persist-mode cells (hams-TP declines every inline completion),
+ * where it must change nothing.
  */
-template <typename MakePlatform>
-void
-differential(MakePlatform make, const std::string& workload,
-             std::uint64_t budget)
+const std::vector<Cell> cells = {
+    {"mmap", "rndRd"},          {"mmap", "rndWr"},
+    {"mmap", "update"},         {"oracle", "rndRd"},
+    {"optane-P", "rndWr"},      {"hams-TE", "rndRd", true},
+    {"hams-TE", "rndWr", true}, {"hams-TE", "update", true},
+    {"hams-TP", "rndRd"},
+};
+
+/** Measured windows after the warmup run. */
+constexpr int windows = 5;
+
+/** One fast-path-on or -off half of a cell, after its runs. */
+struct Half
 {
-    auto run_pair = [&](bool inline_on, RunResult& warm, RunResult& meas,
-                        auto& platform) {
-        auto gen = makeWorkload(workload, 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(*platform, cc);
-        warm = core.run(*gen, budget / 2);
-        meas = core.run(*gen, budget);
-    };
+    std::unique_ptr<MemoryPlatform> platform;
+    std::vector<RunResult> runs; //!< warmup, then the measured windows
+    std::vector<Tick> ends;      //!< eventQueue().now() after each run
+};
 
-    auto p_on = make();
-    auto p_off = make();
-    RunResult warm_on, meas_on, warm_off, meas_off;
-    run_pair(true, warm_on, meas_on, p_on);
-    run_pair(false, warm_off, meas_off, p_off);
-
-    std::string tag = workload + " on " + p_on->name();
-    expectIdentical(warm_on, warm_off, (tag + " (warmup)").c_str());
-    expectIdentical(meas_on, meas_off, (tag + " (measure)").c_str());
-    EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now()) << tag;
+/**
+ * Drive @p cell the way the figure harnesses do — bench platform and
+ * dataset, one core, a warmup run of half the budget — then @p windows
+ * chained runs of the full budget. Every run() ends with the
+ * conductor's run-boundary resync, so both halves start each run from
+ * the same simulated time.
+ */
+Half
+drive(const Cell& cell, const bench::BenchGeometry& geom, bool inline_on)
+{
+    Half h;
+    h.platform = bench::makePlatform(cell.platform, geom);
+    auto gen = makeWorkload(cell.workload,
+                            geom.datasetBytesFor(cell.workload));
+    CoreConfig cc;
+    cc.inlineFastPath = inline_on;
+    CoreModel core(*h.platform, cc);
+    for (int i = 0; i <= windows; ++i) {
+        h.runs.push_back(core.run(*gen, i == 0 ? geom.instructionBudget / 2
+                                               : geom.instructionBudget));
+        h.ends.push_back(h.platform->eventQueue().now());
+    }
+    return h;
 }
 
-TEST(FastPathDifferential, MmfRndWrOnMmap)
+TEST(FastPathDifferential, BenchCellsIdenticalOnAndOff)
 {
-    differential(smallMmap, "rndWr", 200000);
-}
+    // The scale-1 bench geometry with a 4x instruction budget.
+    bench::BenchGeometry geom;
+    geom.instructionBudget *= 4;
 
-TEST(FastPathDifferential, MmfRndWrOnHamsExtend)
-{
-    auto make = [] { return smallHams(HamsMode::Extend); };
-    auto p_on = make();
-    auto p_off = make();
+    // Cell i / 2, fast path on for even i: the halves run in parallel.
+    std::vector<Half> halves(2 * cells.size());
+    bench::runCells(
+        halves.size(),
+        [](std::size_t i) {
+            return std::string(cells[i / 2].platform) + " x " +
+                   cells[i / 2].workload + (i % 2 ? " off" : " on");
+        },
+        [&](std::size_t i) {
+            halves[i] = drive(cells[i / 2], geom, i % 2 == 0);
+        });
 
-    auto run_both = [&](HamsSystem& sys, bool inline_on, RunResult& warm,
-                        RunResult& meas) {
-        auto gen = makeWorkload("rndWr", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        warm = core.run(*gen, 100000);
-        meas = core.run(*gen, 200000);
-    };
-    RunResult warm_on, meas_on, warm_off, meas_off;
-    run_both(*p_on, true, warm_on, meas_on);
-    run_both(*p_off, false, warm_off, meas_off);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const Half& on = halves[2 * c];
+        const Half& off = halves[2 * c + 1];
+        std::string tag =
+            std::string(cells[c].workload) + " on " + cells[c].platform;
+        for (std::size_t r = 0; r < on.runs.size(); ++r) {
+            std::string what = tag + ", run " + std::to_string(r);
+            expectIdentical(on.runs[r], off.runs[r], what.c_str());
+            EXPECT_EQ(on.ends[r], off.ends[r]) << what;
+        }
 
-    expectIdentical(warm_on, warm_off, "rndWr hams-TE (warmup)");
-    expectIdentical(meas_on, meas_off, "rndWr hams-TE (measure)");
-    expectIdentical(p_on->stats(), p_off->stats(), "rndWr HamsStats");
-    expectIdentical(p_on->engineStats(), p_off->engineStats(),
-                    "rndWr NvmeEngineStats");
-    EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now());
-    // The fast path actually engaged: hits dominate and each inline
-    // completion skips the event round trip, so the fired-event count
-    // must drop well below the all-events run.
-    EXPECT_LT(p_on->eventQueue().fired(), p_off->eventQueue().fired() / 2);
-}
-
-TEST(FastPathDifferential, SqliteUpdateOnMmap)
-{
-    differential(smallMmap, "update", 800000);
-}
-
-TEST(FastPathDifferential, SqliteUpdateOnHamsExtend)
-{
-    auto make = [] { return smallHams(HamsMode::Extend); };
-    auto p_on = make();
-    auto p_off = make();
-    auto run_both = [&](HamsSystem& sys, bool inline_on, RunResult& warm,
-                        RunResult& meas) {
-        auto gen = makeWorkload("update", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        warm = core.run(*gen, 400000);
-        meas = core.run(*gen, 800000);
-    };
-    RunResult warm_on, meas_on, warm_off, meas_off;
-    run_both(*p_on, true, warm_on, meas_on);
-    run_both(*p_off, false, warm_off, meas_off);
-
-    expectIdentical(warm_on, warm_off, "update hams-TE (warmup)");
-    expectIdentical(meas_on, meas_off, "update hams-TE (measure)");
-    expectIdentical(p_on->stats(), p_off->stats(), "update HamsStats");
-    expectIdentical(p_on->engineStats(), p_off->engineStats(),
-                    "update NvmeEngineStats");
-    EXPECT_EQ(p_on->eventQueue().now(), p_off->eventQueue().now());
-}
-
-TEST(FastPathDifferential, PersistModeFallsBackIdentically)
-{
-    // Persist mode never completes inline (tryAccess declines); the
-    // trampoline's fallback path must still match the all-events run.
-    auto make = [] { return smallHams(HamsMode::Persist); };
-    auto p_on = make();
-    auto p_off = make();
-    auto run_one = [&](HamsSystem& sys, bool inline_on) {
-        auto gen = makeWorkload("rndRd", 32ull << 20);
-        CoreConfig cc;
-        cc.inlineFastPath = inline_on;
-        CoreModel core(sys, cc);
-        return core.run(*gen, 100000);
-    };
-    RunResult on = run_one(*p_on, true);
-    RunResult off = run_one(*p_off, false);
-    expectIdentical(on, off, "rndRd hams-TP");
-    expectIdentical(p_on->stats(), p_off->stats(), "rndRd HamsStats");
+        auto* hams_on = dynamic_cast<HamsSystem*>(on.platform.get());
+        auto* hams_off = dynamic_cast<HamsSystem*>(off.platform.get());
+        if (!hams_on || !hams_off)
+            continue;
+        expectIdentical(hams_on->stats(), hams_off->stats(), tag.c_str());
+        expectIdentical(hams_on->engineStats(), hams_off->engineStats(),
+                        tag.c_str());
+        // The fast path actually engaged: hits dominate and each inline
+        // completion skips the event round trip.
+        if (cells[c].inlineHits) {
+            EXPECT_LT(on.platform->eventQueue().fired(),
+                      off.platform->eventQueue().fired() / 2)
+                << tag;
+        }
+    }
 }
 
 TEST(FastPathZeroAlloc, HitPathThroughFullCoreLoop)
@@ -208,7 +183,7 @@ TEST(FastPathZeroAlloc, HitPathThroughFullCoreLoop)
     // deltas mean the per-access cost is literally zero — any per-op
     // allocation anywhere in the core loop (workload gen, caches,
     // callbacks, controller) would separate them.
-    auto sys = smallHams(HamsMode::Extend);
+    auto sys = smallHams();
     auto gen = makeWorkload("rndRd", 16ull << 20);
     CoreModel core(*sys);
     core.run(*gen, 300000); // warm caches, pools, arenas
