@@ -165,7 +165,7 @@ class ShardedPlatform : public MemoryPlatform
     Addr rangeBase(std::uint32_t s) const;
     ///@}
 
-    /** @name Aggregated per-shard engine stats (stats_merge.hh).
+    /** @name Aggregated per-shard engine stats (sim/field_list.hh).
      * Merged across the HAMS shards: counters summed, depth peaks
      * maxed. @return number of HAMS shards folded in (0 = @p out
      * untouched, e.g. an all-mmap sharded platform). */

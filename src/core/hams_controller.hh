@@ -38,6 +38,7 @@
 #include "dram/nvdimm.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
+#include "sim/field_list.hh"
 #include "sim/pool.hh"
 
 namespace hams {
@@ -117,6 +118,32 @@ struct HamsStats
     std::uint64_t recoveryGateWaits = 0;
     ///@}
     LatencyBreakdown memoryDelay;        //!< summed across accesses
+
+    /** The field list (sim/field_list.hh): depth peaks take the max. */
+    static constexpr auto
+    fields()
+    {
+        using S = HamsStats;
+        return std::make_tuple(
+            field("accesses", &S::accesses),
+            field("hits", &S::hits),
+            field("misses", &S::misses),
+            field("fills", &S::fills),
+            field("cleanVictims", &S::cleanVictims),
+            field("dirtyEvictions", &S::dirtyEvictions),
+            field("prpClones", &S::prpClones),
+            field("waitQueued", &S::waitQueued),
+            field("redundantEvictionsAvoided",
+                  &S::redundantEvictionsAvoided),
+            field("persistGateWaits", &S::persistGateWaits),
+            field<Combine::Max>("waiterPeakDepth", &S::waiterPeakDepth),
+            field<Combine::Max>("gateQueuePeakDepth", &S::gateQueuePeakDepth),
+            field("replayedCommands", &S::replayedCommands),
+            field("degradedAccesses", &S::degradedAccesses),
+            field("restoreStalls", &S::restoreStalls),
+            field("recoveryGateWaits", &S::recoveryGateWaits),
+            field("memoryDelay", &S::memoryDelay));
+    }
 };
 
 /**

@@ -27,6 +27,7 @@
 #include "nvme/nvme_controller.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
+#include "sim/field_list.hh"
 #include "sim/inline_function.hh"
 
 namespace hams {
@@ -39,6 +40,19 @@ struct NvmeEngineStats
     std::uint64_t journalSets = 0;
     std::uint64_t journalClears = 0;
     std::uint64_t replayed = 0;
+
+    /** The field list (sim/field_list.hh): every counter sums. */
+    static constexpr auto
+    fields()
+    {
+        using S = NvmeEngineStats;
+        return std::make_tuple(
+            field("submitted", &S::submitted),
+            field("completed", &S::completed),
+            field("journalSets", &S::journalSets),
+            field("journalClears", &S::journalClears),
+            field("replayed", &S::replayed));
+    }
 };
 
 /**

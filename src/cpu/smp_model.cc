@@ -28,18 +28,7 @@ finalizeRunResult(RunResult& res, double freq_ghz,
 void
 mergeRunResult(RunResult& into, const RunResult& from)
 {
-    into.simTime = std::max(into.simTime, from.simTime);
-    into.instructions += from.instructions;
-    into.memInstructions += from.memInstructions;
-    into.platformAccesses += from.platformAccesses;
-    into.l1Hits += from.l1Hits;
-    into.l2Hits += from.l2Hits;
-    into.opsCompleted += from.opsCompleted;
-    into.pagesTouched += from.pagesTouched;
-    into.activeTime += from.activeTime;
-    into.stallTime += from.stallTime;
-    into.stallBreakdown += from.stallBreakdown;
-    into.flushTime += from.flushTime;
+    mergeFields(into, from);
 }
 
 /**
@@ -333,37 +322,13 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
 bool
 sameSimOutputs(const RunResult& a, const RunResult& b, const char** field)
 {
-    auto same = [field](bool equal, const char* name) {
-        if (!equal && field)
-            *field = name;
-        return equal;
-    };
-    const LatencyBreakdown& sa = a.stallBreakdown;
-    const LatencyBreakdown& sb = b.stallBreakdown;
-    return same(a.workload == b.workload, "workload") &&
-           same(a.platform == b.platform, "platform") &&
-           same(a.simTime == b.simTime, "simTime") &&
-           same(a.instructions == b.instructions, "instructions") &&
-           same(a.memInstructions == b.memInstructions, "memInstructions") &&
-           same(a.platformAccesses == b.platformAccesses,
-                "platformAccesses") &&
-           same(a.l1Hits == b.l1Hits, "l1Hits") &&
-           same(a.l2Hits == b.l2Hits, "l2Hits") &&
-           same(a.opsCompleted == b.opsCompleted, "opsCompleted") &&
-           same(a.pagesTouched == b.pagesTouched, "pagesTouched") &&
-           same(a.activeTime == b.activeTime, "activeTime") &&
-           same(a.stallTime == b.stallTime, "stallTime") &&
-           same(sa.os == sb.os, "stallBreakdown.os") &&
-           same(sa.nvdimm == sb.nvdimm, "stallBreakdown.nvdimm") &&
-           same(sa.dma == sb.dma, "stallBreakdown.dma") &&
-           same(sa.ssd == sb.ssd, "stallBreakdown.ssd") &&
-           same(sa.cpu == sb.cpu, "stallBreakdown.cpu") &&
-           same(a.flushTime == b.flushTime, "flushTime") &&
-           same(a.ipc == b.ipc, "ipc") &&
-           same(a.opsPerSec == b.opsPerSec, "opsPerSec") &&
-           same(a.pagesPerSec == b.pagesPerSec, "pagesPerSec") &&
-           same(a.bytesPerSec == b.bytesPerSec, "bytesPerSec") &&
-           same(a.cpuEnergyJ == b.cpuEnergyJ, "cpuEnergyJ");
+    FieldDiff d = firstDifference(a, b);
+    if (d && field) {
+        thread_local std::string name;
+        name = d.path();
+        *field = name.c_str();
+    }
+    return !d;
 }
 
 } // namespace hams

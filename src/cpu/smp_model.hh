@@ -80,6 +80,7 @@
 #include "cpu/cache_model.hh"
 #include "energy/cpu_power.hh"
 #include "sim/annotations.hh"
+#include "sim/field_list.hh"
 #include "workload/workload.hh"
 
 namespace hams {
@@ -125,6 +126,34 @@ struct RunResult
 
     /** CPU energy (memory-side energy comes from the platform). */
     double cpuEnergyJ = 0;
+
+    /** The field list (sim/field_list.hh): simTime takes the max;
+     *  labels, rates and energy keep the left-hand value. */
+    static constexpr auto
+    fields()
+    {
+        using S = RunResult;
+        return std::make_tuple(
+            field<Combine::Keep>("workload", &S::workload),
+            field<Combine::Keep>("platform", &S::platform),
+            field<Combine::Max>("simTime", &S::simTime),
+            field("instructions", &S::instructions),
+            field("memInstructions", &S::memInstructions),
+            field("platformAccesses", &S::platformAccesses),
+            field("l1Hits", &S::l1Hits),
+            field("l2Hits", &S::l2Hits),
+            field("opsCompleted", &S::opsCompleted),
+            field("pagesTouched", &S::pagesTouched),
+            field("activeTime", &S::activeTime),
+            field("stallTime", &S::stallTime),
+            field("stallBreakdown", &S::stallBreakdown),
+            field("flushTime", &S::flushTime),
+            field<Combine::Keep>("ipc", &S::ipc),
+            field<Combine::Keep>("opsPerSec", &S::opsPerSec),
+            field<Combine::Keep>("pagesPerSec", &S::pagesPerSec),
+            field<Combine::Keep>("bytesPerSec", &S::bytesPerSec),
+            field<Combine::Keep>("cpuEnergyJ", &S::cpuEnergyJ));
+    }
 };
 
 /**
@@ -136,23 +165,23 @@ void finalizeRunResult(RunResult& res, double freq_ghz,
                        const CpuPowerModel& cpu_power);
 
 /**
- * Merge @p from's raw counters into @p into: event counters sum,
- * simTime takes the max (parallel entities overlap in time, so summing
- * would double-count the wall), and the derived rate/energy fields are
- * left stale — call finalizeRunResult afterwards to rebuild them as
- * aggregate cross-entity rates. The one merge used for per-core views
- * (SmpModel::run) and per-shard views (bench scale-out tables), so the
- * two aggregations can never drift apart. Labels (workload/platform)
- * keep @p into's values.
+ * Merge @p from into @p into through RunResult::fields(): event
+ * counters sum, simTime takes the max, and the labels and derived
+ * rate/energy fields keep @p into's values — call finalizeRunResult
+ * afterwards to rebuild the rates as aggregate cross-entity rates.
+ * The one merge used for per-core views (SmpModel::run) and per-shard
+ * views (bench scale-out tables).
  */
 void mergeRunResult(RunResult& into, const RunResult& from);
 
 /**
- * Bit-equality of two runs over every RunResult field: the labels, the
- * raw counters, the stall breakdown and the derived rates and energy.
- * The one equality behind the benches' determinism gates and the
- * tests' differential checks. On a mismatch, @p field (if non-null)
- * is set to the name of the first field that differs.
+ * Bit-equality of two runs over every RunResult field
+ * (firstDifference over RunResult::fields()): the labels, the raw
+ * counters, the stall breakdown and the derived rates and energy. The
+ * one equality behind the benches' determinism gates. On a mismatch,
+ * @p field (if non-null) is set to the first differing field's name,
+ * e.g. "stallBreakdown.os"; the string stays valid until the calling
+ * thread's next mismatch.
  */
 bool sameSimOutputs(const RunResult& a, const RunResult& b,
                     const char** field = nullptr);

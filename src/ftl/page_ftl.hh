@@ -86,6 +86,7 @@
 #include "flash/fil.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
+#include "sim/field_list.hh"
 #include "sim/types.hh"
 
 namespace hams {
@@ -187,6 +188,30 @@ struct FtlStats
     /** Background demotion writes issued for tiering. */
     std::uint64_t tierBgWrites = 0;
     ///@}
+
+    /** The field list (sim/field_list.hh): pacer levels take the max. */
+    static constexpr auto
+    fields()
+    {
+        using S = FtlStats;
+        return std::make_tuple(
+            field("hostReads", &S::hostReads),
+            field("hostWrites", &S::hostWrites),
+            field("gcRuns", &S::gcRuns),
+            field("gcRelocations", &S::gcRelocations),
+            field("erases", &S::erases),
+            field("gcBatches", &S::gcBatches),
+            field("gcIdleKicks", &S::gcIdleKicks),
+            field("gcWriteStalls", &S::gcWriteStalls),
+            field("gcStallTicks", &S::gcStallTicks),
+            field("gcForegroundOverlap", &S::gcForegroundOverlap),
+            field("gcStreamBlocks", &S::gcStreamBlocks),
+            field("gcQualityDeferrals", &S::gcQualityDeferrals),
+            field<Combine::Max>("paceLevel", &S::paceLevel),
+            field<Combine::Max>("paceLevelMax", &S::paceLevelMax),
+            field("tierBgReads", &S::tierBgReads),
+            field("tierBgWrites", &S::tierBgWrites));
+    }
 };
 
 /**

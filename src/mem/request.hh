@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/field_list.hh"
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
 
@@ -50,6 +51,19 @@ struct LatencyBreakdown
     Tick cpu = 0;
 
     Tick total() const { return os + nvdimm + dma + ssd + cpu; }
+
+    /** The field list (sim/field_list.hh): every category sums. */
+    static constexpr auto
+    fields()
+    {
+        using S = LatencyBreakdown;
+        return std::make_tuple(
+            field("os", &S::os),
+            field("nvdimm", &S::nvdimm),
+            field("dma", &S::dma),
+            field("ssd", &S::ssd),
+            field("cpu", &S::cpu));
+    }
 
     LatencyBreakdown&
     operator+=(const LatencyBreakdown& o)

@@ -1,7 +1,10 @@
 /**
  * @file
- * The tests' one RunResult comparison: every field, bit for bit,
- * through hams::sameSimOutputs — the same equality the benches gate on.
+ * The tests' one comparison of simulated outputs: every field of a
+ * RunResult, HamsStats, NvmeEngineStats, FtlStats or LatencyBreakdown,
+ * bit for bit, through the struct's field list (sim/field_list.hh) —
+ * the same list the benches' determinism gates and the shard merges
+ * read.
  */
 
 #ifndef HAMS_TESTS_SAME_RUN_HH_
@@ -9,18 +12,18 @@
 
 #include <gtest/gtest.h>
 
-#include "cpu/smp_model.hh"
+#include "sim/field_list.hh"
 
 namespace hams {
 
 /** Expect @p a and @p b identical; a failure names the first field
  *  that differs. */
-inline void
-expectIdentical(const RunResult& a, const RunResult& b, const char* what)
+template <class S>
+void
+expectIdentical(const S& a, const S& b, const char* what)
 {
-    const char* field = nullptr;
-    EXPECT_TRUE(sameSimOutputs(a, b, &field))
-        << what << ": RunResult::" << field << " differs";
+    FieldDiff d = firstDifference(a, b);
+    EXPECT_FALSE(d) << what << ": " << d.path() << " differs";
 }
 
 } // namespace hams

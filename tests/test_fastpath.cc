@@ -37,39 +37,6 @@ smallHams()
     return std::make_unique<HamsSystem>(c);
 }
 
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.cleanVictims, b.cleanVictims) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.prpClones, b.prpClones) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.redundantEvictionsAvoided, b.redundantEvictionsAvoided)
-        << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.replayedCommands, b.replayedCommands) << what;
-    EXPECT_EQ(a.memoryDelay.os, b.memoryDelay.os) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.dma, b.memoryDelay.dma) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
-    EXPECT_EQ(a.memoryDelay.cpu, b.memoryDelay.cpu) << what;
-}
-
-void
-expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
-                const char* what)
-{
-    EXPECT_EQ(a.submitted, b.submitted) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.journalSets, b.journalSets) << what;
-    EXPECT_EQ(a.journalClears, b.journalClears) << what;
-    EXPECT_EQ(a.replayed, b.replayed) << what;
-}
-
 /** One (platform × workload) cell of the differential. */
 struct Cell
 {

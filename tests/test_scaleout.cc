@@ -13,17 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "baselines/sharded_platform.hh"
 #include "core/hams_system.hh"
-#include "core/stats_merge.hh"
 #include "cpu/core_model.hh"
 #include "cpu/smp_model.hh"
 #include "ftl/page_ftl.hh"
 #include "sim/alloc_hook.hh"
 #include "sim/domain_conductor.hh"
+#include "sim/field_list.hh"
 #include "ssd/ssd.hh"
 #include "workload/workload.hh"
 
@@ -52,22 +55,6 @@ shardedHams(std::uint32_t m, HamsMode mode, ShardedConfig cfg = {})
     for (std::uint32_t s = 0; s < m; ++s)
         shards.push_back(smallHams(mode));
     return std::make_unique<ShardedPlatform>(std::move(shards), cfg);
-}
-
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
-    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
 }
 
 /** Per-(shard, core) generators: core c drives shard c % M at its
@@ -588,89 +575,192 @@ TEST(ShardedZeroAlloc, HitPathThroughRoutingAndConductor)
 }
 
 // ---------------------------------------------------------------------
-// Stats-merge helpers: counters sum, peaks max — on every type.
+// Field lists (sim/field_list.hh): each list tiles its struct, the
+// merge combines every field the way these tests state independently
+// of the list, and the equality names every field.
 // ---------------------------------------------------------------------
 
-TEST(StatsMerge, HamsCountersSumAndPeaksMax)
+/**
+ * Call @p visit(name, leaf...) for every listed field of @p s, walking
+ * nested lists ("memoryDelay.os"); @p rest are further structs of the
+ * same type, visited in step.
+ */
+template <class Visit, class S, class... Rest>
+void
+forEachLeaf(const std::string& prefix, Visit&& visit, S& s, Rest&... rest)
 {
-    HamsStats a{}, b{};
-    a.accesses = 100;
-    a.hits = 80;
-    a.waitQueued = 5;
-    a.waiterPeakDepth = 3;
-    a.gateQueuePeakDepth = 7;
-    a.memoryDelay.nvdimm = 1000;
-    b.accesses = 50;
-    b.hits = 40;
-    b.waitQueued = 2;
-    b.waiterPeakDepth = 9;
-    b.gateQueuePeakDepth = 1;
-    b.memoryDelay.nvdimm = 500;
-
-    mergeHamsStats(a, b);
-    EXPECT_EQ(a.accesses, 150u);
-    EXPECT_EQ(a.hits, 120u);
-    EXPECT_EQ(a.waitQueued, 7u);
-    // Peaks are per-structure maxima, NOT sums: 3+9=12 would report a
-    // depth no single wait list ever reached.
-    EXPECT_EQ(a.waiterPeakDepth, 9u);
-    EXPECT_EQ(a.gateQueuePeakDepth, 7u);
-    EXPECT_EQ(a.memoryDelay.nvdimm, 1500u);
+    auto one = [&](const auto& f) {
+        using T = typename std::decay_t<decltype(f)>::Type;
+        std::string name = prefix + f.name;
+        if constexpr (HasFieldList<T>::value)
+            forEachLeaf(name + ".", visit, s.*f.member, rest.*f.member...);
+        else
+            visit(name, s.*f.member, rest.*f.member...);
+    };
+    std::apply([&](const auto&... f) { (one(f), ...); },
+               std::remove_const_t<S>::fields());
 }
 
-TEST(StatsMerge, FtlCountersSumAndPaceLevelsMax)
+/** Set a leaf to a value derived from @p k (distinct k, distinct value). */
+template <class T>
+void
+setLeaf(T& v, unsigned k)
 {
-    FtlStats a{}, b{};
-    a.hostWrites = 10;
-    a.gcRelocations = 4;
-    a.paceLevel = 2;
-    a.paceLevelMax = 3;
-    b.hostWrites = 20;
-    b.gcRelocations = 6;
-    b.paceLevel = 1;
-    b.paceLevelMax = 5;
-
-    mergeFtlStats(a, b);
-    EXPECT_EQ(a.hostWrites, 30u);
-    EXPECT_EQ(a.gcRelocations, 10u);
-    EXPECT_EQ(a.paceLevel, 2u);
-    EXPECT_EQ(a.paceLevelMax, 5u);
+    if constexpr (std::is_same_v<T, std::string>)
+        v = "label" + std::to_string(k);
+    else
+        v = static_cast<T>(k);
 }
 
-TEST(StatsMerge, EngineCountersSum)
+/** Byte offset of @p s's member @p m. */
+template <class S, class T>
+std::size_t
+offsetIn(const S& s, T S::*m)
 {
-    NvmeEngineStats a{}, b{};
-    a.submitted = 7;
-    a.completed = 6;
-    a.journalSets = 3;
-    b.submitted = 5;
-    b.completed = 5;
-    b.journalSets = 2;
-    mergeEngineStats(a, b);
-    EXPECT_EQ(a.submitted, 12u);
-    EXPECT_EQ(a.completed, 11u);
-    EXPECT_EQ(a.journalSets, 5u);
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(&(s.*m)) -
+                                    reinterpret_cast<const char*>(&s));
 }
 
-TEST(StatsMerge, RunResultCountersSumSimTimeMax)
+/**
+ * @p S's list tiles the struct: in list order, each field starts where
+ * the previous one ended, and the last ends at sizeof(S). So the listed
+ * sizes add up to sizeof(S) (none of these structs has padding), and a
+ * field missing from the list leaves a gap.
+ */
+template <class S>
+void
+expectListTilesStruct(const char* what)
 {
-    RunResult a{}, b{};
-    a.simTime = 1000;
-    a.instructions = 500;
-    a.opsCompleted = 10;
-    a.stallTime = 100;
-    b.simTime = 800;
-    b.instructions = 300;
-    b.opsCompleted = 4;
-    b.stallTime = 50;
+    S s{};
+    std::size_t end = 0;
+    auto one = [&](const auto& f) {
+        EXPECT_EQ(offsetIn(s, f.member), end)
+            << what << "::" << f.name
+            << ": a field before it is missing from the list";
+        end = offsetIn(s, f.member) + sizeof(s.*f.member);
+    };
+    std::apply([&](const auto&... f) { (one(f), ...); }, S::fields());
+    EXPECT_EQ(end, sizeof(S))
+        << what << ": a field after the last listed one is missing";
+}
 
-    mergeRunResult(a, b);
+TEST(StatsFields, EachListTilesItsStruct)
+{
+    expectListTilesStruct<LatencyBreakdown>("LatencyBreakdown");
+    expectListTilesStruct<HamsStats>("HamsStats");
+    expectListTilesStruct<NvmeEngineStats>("NvmeEngineStats");
+    expectListTilesStruct<FtlStats>("FtlStats");
+    expectListTilesStruct<RunResult>("RunResult");
+}
+
+/**
+ * Merge two structs whose every leaf is set (left values below right
+ * ones) and expect each leaf combined as stated: @p kept leaves keep
+ * the left value, @p maxed take the max, every other leaf sums.
+ */
+template <class S>
+void
+expectMergedAsStated(const std::set<std::string>& maxed,
+                     const std::set<std::string>& kept)
+{
+    S a{}, b{};
+    unsigned k = 1;
+    forEachLeaf("",
+                [&](const std::string&, auto& x, auto& y) {
+                    setLeaf(x, k);
+                    setLeaf(y, 1000 + 3 * k);
+                    k += 7;
+                },
+                a, b);
+    S merged = a;
+    mergeFields(merged, b);
+
+    std::size_t named = 0;
+    forEachLeaf("",
+                [&](const std::string& name, const auto& got,
+                    const auto& x, const auto& y) {
+                    using T = std::decay_t<decltype(got)>;
+                    named += maxed.count(name) + kept.count(name);
+                    if (kept.count(name))
+                        EXPECT_EQ(got, x) << name << " must keep";
+                    else if (maxed.count(name))
+                        EXPECT_EQ(got, std::max(x, y))
+                            << name << " must take the max";
+                    else if constexpr (std::is_arithmetic_v<T>)
+                        EXPECT_EQ(got, static_cast<T>(x + y))
+                            << name << " must sum";
+                    else
+                        ADD_FAILURE() << name << " cannot sum";
+                },
+                std::as_const(merged), std::as_const(a), std::as_const(b));
+    EXPECT_EQ(named, maxed.size() + kept.size())
+        << "a stated name is not a listed field";
+}
+
+TEST(StatsMerge, EveryFieldCombinesAsStated)
+{
+    // Depth peaks are per-structure maxima, not sums: 3 + 9 = 12 would
+    // report a depth no single wait list or gate queue ever reached.
+    expectMergedAsStated<HamsStats>(
+        {"waiterPeakDepth", "gateQueuePeakDepth"}, {});
+    // Pacer levels are per-shard readings, not event counts.
+    expectMergedAsStated<FtlStats>({"paceLevel", "paceLevelMax"}, {});
+    expectMergedAsStated<NvmeEngineStats>({}, {});
+    expectMergedAsStated<LatencyBreakdown>({}, {});
     // Parallel entities overlap in time: summing simTime would
-    // double-count the wall.
-    EXPECT_EQ(a.simTime, 1000u);
-    EXPECT_EQ(a.instructions, 800u);
-    EXPECT_EQ(a.opsCompleted, 14u);
-    EXPECT_EQ(a.stallTime, 150u);
+    // double-count the wall. Labels keep the left side; rates and
+    // energy wait for finalizeRunResult.
+    expectMergedAsStated<RunResult>(
+        {"simTime"}, {"workload", "platform", "ipc", "opsPerSec",
+                      "pagesPerSec", "bytesPerSec", "cpuEnergyJ"});
+}
+
+/**
+ * Perturb each leaf of a copy of a filled @p S in turn and expect the
+ * equality to name exactly that leaf (RunResult: sameSimOutputs too).
+ */
+template <class S>
+void
+expectEveryLeafNamed()
+{
+    S a{};
+    unsigned k = 1;
+    std::size_t leaves = 0;
+    forEachLeaf("",
+                [&](const std::string&, auto& v) {
+                    setLeaf(v, k += 5);
+                    ++leaves;
+                },
+                a);
+    EXPECT_FALSE(firstDifference(a, a));
+    for (std::size_t i = 0; i < leaves; ++i) {
+        S b = a;
+        std::size_t j = 0;
+        std::string want;
+        forEachLeaf("",
+                    [&](const std::string& name, auto& v) {
+                        if (j++ != i)
+                            return;
+                        setLeaf(v, 99999);
+                        want = name;
+                    },
+                    b);
+        EXPECT_EQ(firstDifference(a, b).path(), want);
+        if constexpr (std::is_same_v<S, RunResult>) {
+            const char* field = nullptr;
+            EXPECT_FALSE(sameSimOutputs(a, b, &field));
+            EXPECT_STREQ(field, want.c_str());
+        }
+    }
+}
+
+TEST(StatsFields, EqualityNamesEveryField)
+{
+    expectEveryLeafNamed<LatencyBreakdown>();
+    expectEveryLeafNamed<HamsStats>();
+    expectEveryLeafNamed<NvmeEngineStats>();
+    expectEveryLeafNamed<FtlStats>();
+    expectEveryLeafNamed<RunResult>();
 }
 
 // Aggregation consistency: the sharded platform's aggregate equals
@@ -684,8 +774,8 @@ TEST(StatsMerge, AggregatedMatchesManualShardMerge)
     EXPECT_EQ(sp->aggregatedHamsStats(agg), 2u);
     HamsStats manual{};
     for (std::uint32_t s = 0; s < 2; ++s)
-        mergeHamsStats(manual,
-                       dynamic_cast<HamsSystem&>(sp->shard(s)).stats());
+        mergeFields(manual,
+                    dynamic_cast<HamsSystem&>(sp->shard(s)).stats());
     expectIdentical(agg, manual, "aggregate vs manual merge");
     EXPECT_EQ(agg.accesses,
               dynamic_cast<HamsSystem&>(sp->shard(0)).stats().accesses +

@@ -80,41 +80,6 @@ smallHamsBgGc()
     return sys;
 }
 
-void
-expectIdentical(const HamsStats& a, const HamsStats& b, const char* what)
-{
-    EXPECT_EQ(a.accesses, b.accesses) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.fills, b.fills) << what;
-    EXPECT_EQ(a.cleanVictims, b.cleanVictims) << what;
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-    EXPECT_EQ(a.prpClones, b.prpClones) << what;
-    EXPECT_EQ(a.waitQueued, b.waitQueued) << what;
-    EXPECT_EQ(a.redundantEvictionsAvoided, b.redundantEvictionsAvoided)
-        << what;
-    EXPECT_EQ(a.persistGateWaits, b.persistGateWaits) << what;
-    EXPECT_EQ(a.waiterPeakDepth, b.waiterPeakDepth) << what;
-    EXPECT_EQ(a.gateQueuePeakDepth, b.gateQueuePeakDepth) << what;
-    EXPECT_EQ(a.replayedCommands, b.replayedCommands) << what;
-    EXPECT_EQ(a.memoryDelay.os, b.memoryDelay.os) << what;
-    EXPECT_EQ(a.memoryDelay.nvdimm, b.memoryDelay.nvdimm) << what;
-    EXPECT_EQ(a.memoryDelay.dma, b.memoryDelay.dma) << what;
-    EXPECT_EQ(a.memoryDelay.ssd, b.memoryDelay.ssd) << what;
-    EXPECT_EQ(a.memoryDelay.cpu, b.memoryDelay.cpu) << what;
-}
-
-void
-expectIdentical(const NvmeEngineStats& a, const NvmeEngineStats& b,
-                const char* what)
-{
-    EXPECT_EQ(a.submitted, b.submitted) << what;
-    EXPECT_EQ(a.completed, b.completed) << what;
-    EXPECT_EQ(a.journalSets, b.journalSets) << what;
-    EXPECT_EQ(a.journalClears, b.journalClears) << what;
-    EXPECT_EQ(a.replayed, b.replayed) << what;
-}
-
 /** Warmup-then-measure an N-core SMP run on a fresh platform. */
 SmpResult
 runSmp(MemoryPlatform& platform, const std::string& workload,
@@ -479,11 +444,7 @@ TEST(SmpBackgroundGc, FourCoreRerunIdenticalAndGateSound)
     expectIdentical(p1->stats(), p2->stats(), "bg-GC HamsStats");
     EXPECT_EQ(p1->eventQueue().now(), p2->eventQueue().now());
     EXPECT_EQ(p1->eventQueue().fired(), p2->eventQueue().fired());
-    const FtlStats& fs2 = p2->ullFlash().ftlStats();
-    EXPECT_EQ(fs.gcBatches, fs2.gcBatches);
-    EXPECT_EQ(fs.gcRelocations, fs2.gcRelocations);
-    EXPECT_EQ(fs.erases, fs2.erases);
-    EXPECT_EQ(fs.gcWriteStalls, fs2.gcWriteStalls);
+    expectIdentical(fs, p2->ullFlash().ftlStats(), "bg-GC FtlStats");
 
     // Gate soundness, end to end: pending GC events force the event
     // path, so enabling the inline fast path must not change a single

@@ -294,21 +294,6 @@ smallMmap(const TieringConfig& tiering, bool background_gc = true)
 }
 
 void
-expectIdentical(const FtlStats& a, const FtlStats& b, const char* what)
-{
-    EXPECT_EQ(a.hostReads, b.hostReads) << what;
-    EXPECT_EQ(a.hostWrites, b.hostWrites) << what;
-    EXPECT_EQ(a.gcRuns, b.gcRuns) << what;
-    EXPECT_EQ(a.gcRelocations, b.gcRelocations) << what;
-    EXPECT_EQ(a.erases, b.erases) << what;
-    EXPECT_EQ(a.gcBatches, b.gcBatches) << what;
-    EXPECT_EQ(a.gcIdleKicks, b.gcIdleKicks) << what;
-    EXPECT_EQ(a.gcWriteStalls, b.gcWriteStalls) << what;
-    EXPECT_EQ(a.tierBgReads, b.tierBgReads) << what;
-    EXPECT_EQ(a.tierBgWrites, b.tierBgWrites) << what;
-}
-
-void
 expectIdentical(MmapPlatform& a, MmapPlatform& b, const char* what)
 {
     expectIdentical(a.backingSsd().ftlStats(), b.backingSsd().ftlStats(),
