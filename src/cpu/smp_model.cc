@@ -322,7 +322,7 @@ SmpModel::run(const std::vector<WorkloadGenerator*>& gens,
 bool
 sameSimOutputs(const RunResult& a, const RunResult& b, const char** field)
 {
-    FieldDiff d = firstDifference(a, b);
+    FieldPath d = firstDifference(a, b);
     if (d && field) {
         thread_local std::string name;
         name = d.path();

@@ -10,8 +10,9 @@
  * would report a depth no single structure reached or double-count
  * time that parallel entities overlap; Keep (the left-hand value) for
  * labels and derived rates, which finalizeRunResult rebuilds. A field
- * whose type has its own list (LatencyBreakdown) merges and compares
- * through it; such nesting is one level deep.
+ * whose type has its own list (LatencyBreakdown) is walked through it;
+ * such nesting is one level deep. forEachField is the one walk, and
+ * mergeFields and firstDifference are built on it.
  *
  * tests/test_scaleout.cc checks that each list tiles its struct, so a
  * field added without an entry fails there.
@@ -62,27 +63,9 @@ struct HasFieldList<T, std::void_t<decltype(T::fields())>>
 {
 };
 
-/** Combine @p from into @p into, field by field, as the list says. */
-template <class S>
-void
-mergeFields(S& into, const S& from)
-{
-    auto one = [&](const auto& f) {
-        using F = std::decay_t<decltype(f)>;
-        if constexpr (F::combine == Combine::Sum &&
-                      HasFieldList<typename F::Type>::value)
-            mergeFields(into.*f.member, from.*f.member);
-        else if constexpr (F::combine == Combine::Sum)
-            into.*f.member += from.*f.member;
-        else if constexpr (F::combine == Combine::Max)
-            into.*f.member = std::max(into.*f.member, from.*f.member);
-    };
-    std::apply([&](const auto&... f) { (one(f), ...); }, S::fields());
-}
-
-/** Where two structs first differ: @c name, plus @c inner inside a
- *  nested list. Empty when they are equal. */
-struct FieldDiff
+/** Where a leaf sits: @c name, plus @c inner inside a nested list.
+ *  As firstDifference's result, empty means no field differs. */
+struct FieldPath
 {
     const char* name = nullptr;
     const char* inner = nullptr;
@@ -98,24 +81,64 @@ struct FieldDiff
     }
 };
 
+/**
+ * The one walk over a field list: call
+ * `visit(path, kind, leaf, restLeaf...)` for every listed leaf of @p s
+ * in list order, stepping into nested lists. @p kind is a
+ * `std::integral_constant<Combine, C>`; @p rest are further structs of
+ * the same type, visited in step.
+ */
+template <class Visit, class S, class... Rest>
+void
+forEachField(Visit&& visit, S& s, Rest&... rest)
+{
+    auto one = [&](const auto& f) {
+        using F = std::decay_t<decltype(f)>;
+        if constexpr (HasFieldList<typename F::Type>::value) {
+            static_assert(F::combine == Combine::Sum,
+                          "a nested list combines through its own entries");
+            forEachField(
+                [&](FieldPath in, auto kind, auto&... leaf) {
+                    visit(FieldPath{f.name, in.name}, kind, leaf...);
+                },
+                s.*f.member, rest.*f.member...);
+        } else {
+            visit(FieldPath{f.name, nullptr},
+                  std::integral_constant<Combine, F::combine>{},
+                  s.*f.member, rest.*f.member...);
+        }
+    };
+    std::apply([&](const auto&... f) { (one(f), ...); },
+               std::remove_const_t<S>::fields());
+}
+
+/** Combine @p from into @p into, field by field, as the list says. */
+template <class S>
+void
+mergeFields(S& into, const S& from)
+{
+    forEachField(
+        [](FieldPath, auto kind, auto& x, const auto& y) {
+            if constexpr (decltype(kind)::value == Combine::Sum)
+                x += y;
+            else if constexpr (decltype(kind)::value == Combine::Max)
+                x = std::max(x, y);
+        },
+        into, from);
+}
+
 /** The first listed field where @p a and @p b differ (operator==). */
 template <class S>
-FieldDiff
+FieldPath
 firstDifference(const S& a, const S& b)
 {
-    FieldDiff d;
-    auto differs = [&](const auto& f) {
-        using T = typename std::decay_t<decltype(f)>::Type;
-        if constexpr (HasFieldList<T>::value) {
-            if (FieldDiff in = firstDifference(a.*f.member, b.*f.member))
-                d = {f.name, in.name};
-        } else if (!(a.*f.member == b.*f.member)) {
-            d = {f.name, nullptr};
-        }
-        return bool(d);
-    };
-    std::apply([&](const auto&... f) { (void)(differs(f) || ...); },
-               S::fields());
+    FieldPath d;
+    forEachField(
+        [&](FieldPath at, auto, const auto& x, const auto& y) {
+            if (!d && !(x == y))
+                d = at;
+        },
+        a, b);
     return d;
 }
 

@@ -22,7 +22,7 @@ template <class S>
 void
 expectIdentical(const S& a, const S& b, const char* what)
 {
-    FieldDiff d = firstDifference(a, b);
+    FieldPath d = firstDifference(a, b);
     EXPECT_FALSE(d) << what << ": " << d.path() << " differs";
 }
 

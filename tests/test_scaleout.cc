@@ -580,27 +580,6 @@ TEST(ShardedZeroAlloc, HitPathThroughRoutingAndConductor)
 // of the list, and the equality names every field.
 // ---------------------------------------------------------------------
 
-/**
- * Call @p visit(name, leaf...) for every listed field of @p s, walking
- * nested lists ("memoryDelay.os"); @p rest are further structs of the
- * same type, visited in step.
- */
-template <class Visit, class S, class... Rest>
-void
-forEachLeaf(const std::string& prefix, Visit&& visit, S& s, Rest&... rest)
-{
-    auto one = [&](const auto& f) {
-        using T = typename std::decay_t<decltype(f)>::Type;
-        std::string name = prefix + f.name;
-        if constexpr (HasFieldList<T>::value)
-            forEachLeaf(name + ".", visit, s.*f.member, rest.*f.member...);
-        else
-            visit(name, s.*f.member, rest.*f.member...);
-    };
-    std::apply([&](const auto&... f) { (one(f), ...); },
-               std::remove_const_t<S>::fields());
-}
-
 /** Set a leaf to a value derived from @p k (distinct k, distinct value). */
 template <class T>
 void
@@ -655,8 +634,9 @@ TEST(StatsFields, EachListTilesItsStruct)
 
 /**
  * Merge two structs whose every leaf is set (left values below right
- * ones) and expect each leaf combined as stated: @p kept leaves keep
- * the left value, @p maxed take the max, every other leaf sums.
+ * ones) both ways round and expect each leaf combined as stated:
+ * @p kept leaves keep the left-hand value, @p maxed take the larger
+ * value whichever side holds it, every other leaf sums.
  */
 template <class S>
 void
@@ -665,36 +645,41 @@ expectMergedAsStated(const std::set<std::string>& maxed,
 {
     S a{}, b{};
     unsigned k = 1;
-    forEachLeaf("",
-                [&](const std::string&, auto& x, auto& y) {
-                    setLeaf(x, k);
-                    setLeaf(y, 1000 + 3 * k);
-                    k += 7;
-                },
-                a, b);
-    S merged = a;
-    mergeFields(merged, b);
+    forEachField(
+        [&](FieldPath, auto, auto& x, auto& y) {
+            setLeaf(x, k);
+            setLeaf(y, 1000 + 3 * k);
+            k += 7;
+        },
+        a, b);
 
-    std::size_t named = 0;
-    forEachLeaf("",
-                [&](const std::string& name, const auto& got,
-                    const auto& x, const auto& y) {
-                    using T = std::decay_t<decltype(got)>;
-                    named += maxed.count(name) + kept.count(name);
-                    if (kept.count(name))
-                        EXPECT_EQ(got, x) << name << " must keep";
-                    else if (maxed.count(name))
-                        EXPECT_EQ(got, std::max(x, y))
-                            << name << " must take the max";
-                    else if constexpr (std::is_arithmetic_v<T>)
-                        EXPECT_EQ(got, static_cast<T>(x + y))
-                            << name << " must sum";
-                    else
-                        ADD_FAILURE() << name << " cannot sum";
-                },
-                std::as_const(merged), std::as_const(a), std::as_const(b));
-    EXPECT_EQ(named, maxed.size() + kept.size())
-        << "a stated name is not a listed field";
+    auto check = [&](const S& left, const S& right, const char* order) {
+        S merged = left;
+        mergeFields(merged, right);
+        std::size_t named = 0;
+        forEachField(
+            [&](FieldPath at, auto, const auto& got, const auto& x,
+                const auto& y) {
+                using T = std::decay_t<decltype(got)>;
+                std::string name = at.path();
+                named += maxed.count(name) + kept.count(name);
+                if (kept.count(name))
+                    EXPECT_EQ(got, x) << order << name << " must keep";
+                else if (maxed.count(name))
+                    EXPECT_EQ(got, std::max(x, y))
+                        << order << name << " must take the max";
+                else if constexpr (std::is_arithmetic_v<T>)
+                    EXPECT_EQ(got, static_cast<T>(x + y))
+                        << order << name << " must sum";
+                else
+                    ADD_FAILURE() << order << name << " cannot sum";
+            },
+            merged, left, right);
+        EXPECT_EQ(named, maxed.size() + kept.size())
+            << "a stated name is not a listed field";
+    };
+    check(a, b, "larger from: ");
+    check(b, a, "larger into: ");
 }
 
 TEST(StatsMerge, EveryFieldCombinesAsStated)
@@ -726,25 +711,25 @@ expectEveryLeafNamed()
     S a{};
     unsigned k = 1;
     std::size_t leaves = 0;
-    forEachLeaf("",
-                [&](const std::string&, auto& v) {
-                    setLeaf(v, k += 5);
-                    ++leaves;
-                },
-                a);
+    forEachField(
+        [&](FieldPath, auto, auto& v) {
+            setLeaf(v, k += 5);
+            ++leaves;
+        },
+        a);
     EXPECT_FALSE(firstDifference(a, a));
     for (std::size_t i = 0; i < leaves; ++i) {
         S b = a;
         std::size_t j = 0;
         std::string want;
-        forEachLeaf("",
-                    [&](const std::string& name, auto& v) {
-                        if (j++ != i)
-                            return;
-                        setLeaf(v, 99999);
-                        want = name;
-                    },
-                    b);
+        forEachField(
+            [&](FieldPath at, auto, auto& v) {
+                if (j++ != i)
+                    return;
+                setLeaf(v, 99999);
+                want = at.path();
+            },
+            b);
         EXPECT_EQ(firstDifference(a, b).path(), want);
         if constexpr (std::is_same_v<S, RunResult>) {
             const char* field = nullptr;
