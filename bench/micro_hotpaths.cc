@@ -205,6 +205,32 @@ BM_FilSuspendWithLiveOps(benchmark::State& state)
 }
 BENCHMARK(BM_FilSuspendWithLiveOps)->Arg(16)->Arg(256);
 
+/**
+ * One foreground read and one program through the FIL on the stock
+ * ULL-Flash geometry, each on a different parallel unit: the per-op
+ * cost of resolving a PPN to its site plus the timeline arithmetic.
+ */
+void
+BM_FilSubmit(benchmark::State& state)
+{
+    SsdConfig cfg = ullFlashConfig(1ull << 30, false);
+    Fil fil(cfg.geom, cfg.nand);
+    const std::uint64_t pages = cfg.geom.totalPages();
+    const std::uint64_t stride = cfg.geom.pagesPerPlane() + 1;
+    std::uint64_t ppn = 0;
+    Tick t = 0;
+    std::uint64_t allocs = bench::threadAllocCallsNow();
+    for (auto _ : state) {
+        t = fil.submit({FlashOp::Type::Read, ppn, 2048}, t);
+        ppn = (ppn + stride) % pages;
+        t = fil.submit({FlashOp::Type::Program, ppn, 2048}, t);
+        ppn = (ppn + stride) % pages;
+    }
+    benchmark::DoNotOptimize(t);
+    reportAllocRate(state, allocs);
+}
+BENCHMARK(BM_FilSubmit);
+
 void
 BM_QueuePairPushFetch(benchmark::State& state)
 {

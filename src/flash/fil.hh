@@ -108,6 +108,12 @@ class Fil
         return std::max(channelFree[ch], channelBgFree[ch]);
     }
 
+    /**
+     * Site of @p ppn's parallel unit: one range check, one division and
+     * one table load. Panics when @p ppn is past the last page.
+     */
+    HAMS_HOT_PATH const FlashSite& siteOf(std::uint64_t ppn) const;
+
     const FlashGeometry& geometry() const { return pool.geometry(); }
     const NandTiming& timing() const { return _timing; }
     const FlashActivity& activity() const { return _activity; }
@@ -122,33 +128,34 @@ class Fil
     HAMS_COLD_PATH void reset();
 
   private:
-    /** submit() with @p op's address already decomposed into @p a. */
-    HAMS_HOT_PATH Tick submitAt(const FlashOp& op, const FlashAddress& a,
+    /** submit() with @p op's site already resolved into @p s. */
+    HAMS_HOT_PATH Tick submitAt(const FlashOp& op, const FlashSite& s,
                                 Tick at);
-    HAMS_HOT_PATH Tick read(const FlashAddress& a, std::uint32_t bytes,
+    HAMS_HOT_PATH Tick read(const FlashSite& s, std::uint32_t bytes,
                             Tick at, bool background);
-    HAMS_HOT_PATH Tick program(const FlashAddress& a, std::uint32_t bytes, Tick at,
-                 bool background);
-    HAMS_HOT_PATH Tick erase(const FlashAddress& a, Tick at, bool background);
+    HAMS_HOT_PATH Tick program(const FlashSite& s, std::uint32_t bytes,
+                               Tick at, bool background);
+    HAMS_HOT_PATH Tick erase(const FlashSite& s, Tick at, bool background);
 
     /**
-     * Foreground-priority admission to @p a's die/plane pair: when the
+     * Foreground-priority admission to @p s's die/plane pair: when the
      * only occupancy beyond the foreground timeline is background cell
      * work, the op starts after the suspend handshake instead of
      * waiting, and the suspended work is pushed out once the
      * foreground op's resource end is known (finishSuspend()).
      * @return the effective start tick; sets @p suspended.
      */
-    HAMS_HOT_PATH Tick admitForeground(const FlashAddress& a, Tick at, bool background,
-                         bool& suspended, Tick& suspend_from);
+    HAMS_HOT_PATH Tick admitForeground(const FlashSite& s, Tick at,
+                                       bool background, bool& suspended,
+                                       Tick& suspend_from);
 
     /** Push the suspended background work out by the stolen window. */
     HAMS_HOT_PATH void
-    finishSuspend(const FlashAddress& a, bool suspended, Tick suspend_from,
+    finishSuspend(const FlashSite& s, bool suspended, Tick suspend_from,
                   Tick fg_end)
     {
         if (suspended)
-            pool.pushBackgroundOut(a, suspend_from, fg_end - suspend_from);
+            pool.pushBackgroundOut(s, suspend_from, fg_end - suspend_from);
     }
 
     /**
@@ -165,6 +172,8 @@ class Fil
 
     NandTiming _timing;
     NandPackagePool pool;
+    std::uint64_t totalPages;    //!< geometry().totalPages()
+    std::uint64_t pagesPerPlane; //!< pages of one parallel unit
     std::vector<Tick> channelFree;   //!< foreground timeline
     std::vector<Tick> channelBgFree; //!< background (GC) timeline
     FlashActivity _activity;

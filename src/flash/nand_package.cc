@@ -10,6 +10,15 @@ NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
 {
     std::size_t dies = std::size_t(geom.channels) * geom.packagesPerChannel *
                        geom.diesPerPackage;
+    sites.resize(geom.parallelUnits());
+    for (std::uint64_t pu = 0; pu < sites.size(); ++pu) {
+        FlashAddress a =
+            FlashAddress::decompose(pu * geom.pagesPerPlane(), geom);
+        auto die = static_cast<std::uint32_t>(
+            (std::uint64_t(a.channel) * geom.packagesPerChannel +
+             a.package) * geom.diesPerPackage + a.die);
+        sites[pu] = {a.channel, die, die * geom.planesPerDie + a.plane};
+    }
     dieFree.assign(dies, 0);
     planeFree.assign(dies * geom.planesPerDie, 0);
     dieBgFree.assign(dies, 0);
@@ -17,81 +26,13 @@ NandPackagePool::NandPackagePool(const FlashGeometry& geom) : geom(geom)
     opHeads.assign(dies + geom.channels, nil);
 }
 
-std::size_t
-NandPackagePool::dieIndex(const FlashAddress& a) const
-{
-    return (std::size_t(a.channel) * geom.packagesPerChannel + a.package) *
-               geom.diesPerPackage + a.die;
-}
-
-std::size_t
-NandPackagePool::planeIndex(const FlashAddress& a) const
-{
-    return dieIndex(a) * geom.planesPerDie + a.plane;
-}
-
-Tick
-NandPackagePool::dieFreeAt(const FlashAddress& a) const
-{
-    std::size_t i = dieIndex(a);
-    return std::max(dieFree[i], dieBgFree[i]);
-}
-
-Tick
-NandPackagePool::planeFreeAt(const FlashAddress& a) const
-{
-    std::size_t i = planeIndex(a);
-    return std::max(planeFree[i], planeBgFree[i]);
-}
-
-Tick
-NandPackagePool::dieFgFreeAt(const FlashAddress& a) const
-{
-    return dieFree[dieIndex(a)];
-}
-
-Tick
-NandPackagePool::planeFgFreeAt(const FlashAddress& a) const
-{
-    return planeFree[planeIndex(a)];
-}
-
 void
-NandPackagePool::occupyDie(const FlashAddress& a, Tick until)
+NandPackagePool::pushBackgroundOut(const FlashSite& s, Tick from, Tick delta)
 {
-    Tick& t = dieFree[dieIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyPlane(const FlashAddress& a, Tick until)
-{
-    Tick& t = planeFree[planeIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyDieBg(const FlashAddress& a, Tick until)
-{
-    Tick& t = dieBgFree[dieIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::occupyPlaneBg(const FlashAddress& a, Tick until)
-{
-    Tick& t = planeBgFree[planeIndex(a)];
-    t = std::max(t, until);
-}
-
-void
-NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
-                                   Tick delta)
-{
-    Tick& d = dieBgFree[dieIndex(a)];
+    Tick& d = dieBgFree[s.die];
     if (d > from)
         d += delta;
-    Tick& p = planeBgFree[planeIndex(a)];
+    Tick& p = planeBgFree[s.plane];
     if (p > from)
         p += delta;
     // Every cell-tailed tracked op on this die still in flight at the
@@ -103,7 +44,7 @@ NandPackagePool::pushBackgroundOut(const FlashAddress& a, Tick from,
     // extension preserves the relative order of ops on the same die,
     // so the latest-latched op stays the latest — the FTL relies on
     // this to track one handle per GC slice.
-    extendList(static_cast<std::uint32_t>(dieIndex(a)), from, delta);
+    extendList(s.die, from, delta);
 }
 
 void
@@ -124,7 +65,7 @@ NandPackagePool::extendList(std::uint32_t list, Tick from, Tick delta)
 }
 
 FlashOpHandle
-NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
+NandPackagePool::trackOp(const FlashSite& s, Tick completion,
                          bool transfer_tailed)
 {
     std::uint32_t slot = freeHead;
@@ -139,8 +80,7 @@ NandPackagePool::trackOp(const FlashAddress& a, Tick completion,
     }
     OpRecord& r = ops[slot];
     r.live = true;
-    r.list = transfer_tailed ? channelList(a.channel)
-                             : static_cast<std::uint32_t>(dieIndex(a));
+    r.list = transfer_tailed ? channelList(s.channel) : s.die;
     r.completion = completion;
     // Link at the head of the die's or channel's list.
     std::uint32_t& head = opHeads[r.list];

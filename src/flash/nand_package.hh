@@ -38,6 +38,7 @@
 #ifndef HAMS_FLASH_NAND_PACKAGE_HH_
 #define HAMS_FLASH_NAND_PACKAGE_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -79,51 +80,87 @@ struct FlashOpHandle
 };
 
 /**
- * Busy-until bookkeeping for every die and plane in the complex.
- * Indexed by FlashAddress fields.
+ * The resources one parallel unit's ops contend for: its channel bus,
+ * its die (a dense index over channel x package x die) and its plane
+ * (die index x planesPerDie + plane). Every page of a unit shares one
+ * site, since a PPN is laid out as [parallel unit | block | page].
+ */
+struct FlashSite
+{
+    std::uint32_t channel = 0;
+    std::uint32_t die = 0;
+    std::uint32_t plane = 0;
+};
+
+/**
+ * Busy-until bookkeeping for every die and plane in the complex,
+ * addressed by FlashSite. The pool builds the site of every parallel
+ * unit once, at construction.
  */
 class NandPackagePool
 {
   public:
     explicit NandPackagePool(const FlashGeometry& geom);
 
-    /** Earliest tick the die containing @p a can accept a command. */
-    Tick dieFreeAt(const FlashAddress& a) const;
+    /** Site of parallel unit @p pu (< geometry().parallelUnits()). */
+    const FlashSite& site(std::uint64_t pu) const { return sites[pu]; }
 
-    /** Earliest tick plane @p a can start a cell operation. */
-    Tick planeFreeAt(const FlashAddress& a) const;
+    /** Earliest tick die @p s.die can accept a command. */
+    Tick
+    dieFreeAt(const FlashSite& s) const
+    {
+        return std::max(dieFree[s.die], dieBgFree[s.die]);
+    }
+
+    /** Earliest tick plane @p s.plane can start a cell operation. */
+    Tick
+    planeFreeAt(const FlashSite& s) const
+    {
+        return std::max(planeFree[s.plane], planeBgFree[s.plane]);
+    }
 
     /** @name Foreground-only timelines (suspend-priority admission). */
     ///@{
-    Tick dieFgFreeAt(const FlashAddress& a) const;
-    Tick planeFgFreeAt(const FlashAddress& a) const;
+    Tick dieFgFreeAt(const FlashSite& s) const { return dieFree[s.die]; }
+    Tick planeFgFreeAt(const FlashSite& s) const
+    {
+        return planeFree[s.plane];
+    }
     ///@}
 
-    /** Reserve the die until @p until (foreground timeline). */
-    void occupyDie(const FlashAddress& a, Tick until);
-
-    /** Reserve the plane until @p until (foreground timeline). */
-    void occupyPlane(const FlashAddress& a, Tick until);
-
-    /** Reserve the die until @p until on the background timeline. */
-    void occupyDieBg(const FlashAddress& a, Tick until);
-
-    /** Reserve the plane until @p until on the background timeline. */
-    void occupyPlaneBg(const FlashAddress& a, Tick until);
+    /** @name Reserve the die or plane until @p until (Bg: background). */
+    ///@{
+    void occupyDie(const FlashSite& s, Tick until)
+    {
+        holdUntil(dieFree[s.die], until);
+    }
+    void occupyPlane(const FlashSite& s, Tick until)
+    {
+        holdUntil(planeFree[s.plane], until);
+    }
+    void occupyDieBg(const FlashSite& s, Tick until)
+    {
+        holdUntil(dieBgFree[s.die], until);
+    }
+    void occupyPlaneBg(const FlashSite& s, Tick until)
+    {
+        holdUntil(planeBgFree[s.plane], until);
+    }
+    ///@}
 
     /**
-     * A foreground op suspended the background work pending on @p a:
+     * A foreground op suspended the background work pending on @p s:
      * push every background occupancy still live past @p from out by
      * @p delta (the stolen window, suspend handshake included), and
      * extend the completion of every tracked op on the same die that
      * was still in flight at @p from by the same window.
      */
-    void pushBackgroundOut(const FlashAddress& a, Tick from, Tick delta);
+    void pushBackgroundOut(const FlashSite& s, Tick from, Tick delta);
 
     /** @name Tracked background ops (FlashOpHandle registry). */
     ///@{
     /**
-     * Register a background op on @p a completing at @p completion
+     * Register a background op on @p s completing at @p completion
      * (the submit-time latch). The record lives — and keeps absorbing
      * suspension/bus-bump extensions — until releaseOp(). Slot reuse
      * is generation-tagged, so stale handles are detected, and the
@@ -133,7 +170,7 @@ class NandPackagePool
      * are extended by bumpChannelOps — a program/erase completion is
      * cell work, already covered by the die push.
      */
-    FlashOpHandle trackOp(const FlashAddress& a, Tick completion,
+    FlashOpHandle trackOp(const FlashSite& s, Tick completion,
                           bool transfer_tailed);
 
     /** Current (suspension-extended) completion tick of a live op. */
@@ -165,8 +202,7 @@ class NandPackagePool
     const FlashGeometry& geometry() const { return geom; }
 
   private:
-    std::size_t dieIndex(const FlashAddress& a) const;
-    std::size_t planeIndex(const FlashAddress& a) const;
+    static void holdUntil(Tick& t, Tick until) { t = std::max(t, until); }
 
     /** End of a list (and of the free stack). */
     static constexpr std::uint32_t nil = ~std::uint32_t(0);
@@ -199,6 +235,7 @@ class NandPackagePool
     void pushFree(std::uint32_t slot);
 
     FlashGeometry geom;
+    std::vector<FlashSite> sites; //!< indexed by parallel unit
     std::vector<Tick> dieFree;    //!< foreground timeline
     std::vector<Tick> planeFree;  //!< foreground timeline
     std::vector<Tick> dieBgFree;  //!< background timeline

@@ -70,16 +70,6 @@ PageFtl::makePpn(std::uint64_t pu, std::uint32_t block,
     return (pu * geom.blocksPerPlane + block) * geom.pagesPerBlock + page;
 }
 
-void
-PageFtl::splitPpn(std::uint64_t ppn, std::uint64_t& pu, std::uint32_t& block,
-                  std::uint32_t& page) const
-{
-    page = static_cast<std::uint32_t>(ppn % geom.pagesPerBlock);
-    std::uint64_t blk = ppn / geom.pagesPerBlock;
-    block = static_cast<std::uint32_t>(blk % geom.blocksPerPlane);
-    pu = blk / geom.blocksPerPlane;
-}
-
 PageFtl::Block&
 PageFtl::blockOf(std::uint64_t pu, std::uint32_t block)
 {
@@ -103,10 +93,8 @@ PageFtl::ensureBlockArrays(Block& b)
 void
 PageFtl::invalidate(std::uint64_t ppn)
 {
-    std::uint64_t pu;
-    std::uint32_t block, page;
-    splitPpn(ppn, pu, block, page);
-    Block& b = blockOf(pu, block);
+    Block& b = blocks[ppn / geom.pagesPerBlock];
+    auto page = static_cast<std::uint32_t>(ppn % geom.pagesPerBlock);
     ensureBlockArrays(b);
     std::uint64_t& word = b.validBits[page / 64];
     std::uint64_t mask = 1ull << (page % 64);
@@ -289,6 +277,17 @@ PageFtl::allocate(std::uint64_t pu, Tick& at, bool for_gc)
     return makePpn(pu, block, page);
 }
 
+void
+PageFtl::place(std::uint64_t lpn, std::uint64_t ppn)
+{
+    Block& b = blocks[ppn / geom.pagesPerBlock];
+    auto page = static_cast<std::uint32_t>(ppn % geom.pagesPerBlock);
+    b.pageLpns[page] = lpn;
+    b.validBits[page / 64] |= 1ull << (page % 64);
+    ++b.validCount;
+    l2p.set(lpn, ppn);
+}
+
 Tick
 PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
 {
@@ -308,14 +307,7 @@ PageFtl::writePage(std::uint64_t lpn, std::uint32_t bytes, Tick at)
         nextPu = 0;
 
     std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false);
-    std::uint64_t pu2;
-    std::uint32_t block, page;
-    splitPpn(ppn, pu2, block, page);
-    Block& b = blockOf(pu2, block);
-    b.pageLpns[page] = lpn;
-    b.validBits[page / 64] |= 1ull << (page % 64);
-    ++b.validCount;
-    l2p.set(lpn, ppn);
+    place(lpn, ppn);
 
     Tick done = fil.submit({FlashOp::Type::Program, ppn, bytes}, at);
     if (backgroundGcEnabled())
@@ -355,14 +347,7 @@ PageFtl::backgroundWritePage(std::uint64_t lpn, std::uint32_t bytes,
 
     // Foreground allocation semantics: never dips into the GC reserve.
     std::uint64_t ppn = allocate(pu, at, /*for_gc=*/false);
-    std::uint64_t pu2;
-    std::uint32_t block, page;
-    splitPpn(ppn, pu2, block, page);
-    Block& b = blockOf(pu2, block);
-    b.pageLpns[page] = lpn;
-    b.validBits[page / 64] |= 1ull << (page % 64);
-    ++b.validCount;
-    l2p.set(lpn, ppn);
+    place(lpn, ppn);
 
     h = fil.submitTracked({FlashOp::Type::Program, ppn, bytes,
                            /*background=*/true}, at);
@@ -426,14 +411,7 @@ PageFtl::collect(std::uint64_t pu, Tick& at)
             // it is bit-identical to the plain foreground allocate
             // (the GC-trigger branch is already guarded by inGc).
             std::uint64_t new_ppn = allocate(pu, at, /*for_gc=*/true);
-            std::uint64_t pu2;
-            std::uint32_t nblock, npage;
-            splitPpn(new_ppn, pu2, nblock, npage);
-            Block& nb = blockOf(pu2, nblock);
-            nb.pageLpns[npage] = lpn;
-            nb.validBits[npage / 64] |= 1ull << (npage % 64);
-            ++nb.validCount;
-            l2p.set(lpn, new_ppn);
+            place(lpn, new_ppn);
             ++_stats.gcRelocations;
 
             at = fil.submit({FlashOp::Type::Program, new_ppn,
@@ -574,14 +552,7 @@ PageFtl::gcSlice(std::uint64_t pu, Tick from, std::uint32_t batch)
 
         Tick prog_at = rd;
         std::uint64_t new_ppn = allocate(pu, prog_at, /*for_gc=*/true);
-        std::uint64_t pu2;
-        std::uint32_t nblock, npage;
-        splitPpn(new_ppn, pu2, nblock, npage);
-        Block& nb = blockOf(pu2, nblock);
-        nb.pageLpns[npage] = lpn;
-        nb.validBits[npage / 64] |= 1ull << (npage % 64);
-        ++nb.validCount;
-        l2p.set(lpn, new_ppn);
+        place(lpn, new_ppn);
         ++_stats.gcRelocations;
 
         FlashOpHandle ph =

@@ -218,7 +218,9 @@ struct FtlStats
  * The translation layer. One instance per SSD.
  *
  * Logical page numbers (LPNs) index 4 KiB pages of the exported
- * capacity; physical page numbers (PPNs) follow FlashAddress encoding.
+ * capacity. A physical page number (PPN) is laid out as
+ * [parallel unit | block | page], so ppn / pagesPerBlock is the
+ * block's index in `blocks` and ppn / pagesPerPlane its unit.
  */
 class PageFtl
 {
@@ -485,14 +487,15 @@ class PageFtl
                                    std::uint32_t block) const;
     std::uint64_t makePpn(std::uint64_t pu, std::uint32_t block,
                           std::uint32_t page) const;
-    void splitPpn(std::uint64_t ppn, std::uint64_t& pu, std::uint32_t& block,
-                  std::uint32_t& page) const;
 
     HAMS_HOT_PATH Block& blockOf(std::uint64_t pu, std::uint32_t block);
     HAMS_HOT_PATH void ensureBlockArrays(Block& b);
 
     /** Mark a physical page invalid (after overwrite/trim). */
     HAMS_HOT_PATH void invalidate(std::uint64_t ppn);
+
+    /** Record @p lpn at the just-allocated @p ppn: valid, and mapped. */
+    HAMS_HOT_PATH void place(std::uint64_t lpn, std::uint64_t ppn);
 
     /**
      * Allocate the next physical page on @p pu. Foreground callers

@@ -209,6 +209,47 @@ TEST(Fil, OversizedOpPanics)
                  "exceed page size");
 }
 
+TEST(Fil, OutOfRangePpnPanics)
+{
+    FlashGeometry g = smallGeom();
+    Fil fil(g, NandTiming::zNand());
+    EXPECT_DEATH(fil.submit({FlashOp::Type::Read, g.totalPages(), 2048}, 0),
+                 "out of range");
+    EXPECT_DEATH(fil.submitTracked({FlashOp::Type::Erase, g.totalPages(), 0,
+                                    true},
+                                   0),
+                 "out of range");
+    NandTiming z = NandTiming::zNand();
+    EXPECT_EQ(fil.submit({FlashOp::Type::Read, g.totalPages() - 1, 2048}, 0),
+              z.cmdOverhead + z.tR + z.transferTime(2048));
+}
+
+TEST(Fil, SiteMatchesDecomposeForEveryPpn)
+{
+    // The site table must agree with the address codec on every page,
+    // including geometries whose counts are not powers of two.
+    FlashGeometry odd = smallGeom();
+    odd.channels = 3;
+    odd.packagesPerChannel = 3;
+    odd.diesPerPackage = 3;
+    odd.blocksPerPlane = 17;
+    odd.pagesPerBlock = 24;
+    for (const FlashGeometry& g : {smallGeom(), odd}) {
+        Fil fil(g, NandTiming::zNand());
+        for (std::uint64_t ppn = 0; ppn < g.totalPages(); ++ppn) {
+            FlashAddress a = FlashAddress::decompose(ppn, g);
+            std::uint64_t die =
+                (std::uint64_t(a.channel) * g.packagesPerChannel +
+                 a.package) * g.diesPerPackage + a.die;
+            const FlashSite& s = fil.siteOf(ppn);
+            ASSERT_EQ(s.channel, a.channel) << "ppn " << ppn;
+            ASSERT_EQ(s.die, die) << "ppn " << ppn;
+            ASSERT_EQ(s.plane, die * g.planesPerDie + a.plane)
+                << "ppn " << ppn;
+        }
+    }
+}
+
 // --- Tracked background ops ------------------------------------------
 //
 // A foreground suspension of a die extends that die's cell-tailed ops;
@@ -219,22 +260,25 @@ TEST(Fil, OversizedOpPanics)
 constexpr Tick kFrom = 1000;
 constexpr Tick kDelta = 77;
 
-FlashAddress
-dieAddr(std::uint32_t ch, std::uint32_t die, std::uint32_t plane = 0)
+FlashSite
+dieSite(const NandPackagePool& pool, std::uint32_t ch, std::uint32_t die,
+        std::uint32_t plane = 0)
 {
-    return FlashAddress{ch, 0, die, plane, 0, 0};
+    FlashAddress a{ch, 0, die, plane, 0, 0};
+    return pool.site(a.parallelUnit(pool.geometry()));
 }
 
 TEST(TrackedOps, DieSuspensionExtendsSameDieCellOpsOnly)
 {
     NandPackagePool pool(smallGeom());
-    FlashOpHandle cell = pool.trackOp(dieAddr(0, 0), 5000, false);
-    FlashOpHandle other_plane = pool.trackOp(dieAddr(0, 0, 1), 6000, false);
-    FlashOpHandle xfer = pool.trackOp(dieAddr(0, 0), 5000, true);
-    FlashOpHandle other_die = pool.trackOp(dieAddr(0, 1), 5000, false);
-    FlashOpHandle other_ch = pool.trackOp(dieAddr(1, 0), 5000, false);
+    FlashOpHandle cell = pool.trackOp(dieSite(pool, 0, 0), 5000, false);
+    FlashOpHandle other_plane =
+        pool.trackOp(dieSite(pool, 0, 0, 1), 6000, false);
+    FlashOpHandle xfer = pool.trackOp(dieSite(pool, 0, 0), 5000, true);
+    FlashOpHandle other_die = pool.trackOp(dieSite(pool, 0, 1), 5000, false);
+    FlashOpHandle other_ch = pool.trackOp(dieSite(pool, 1, 0), 5000, false);
 
-    pool.pushBackgroundOut(dieAddr(0, 0), kFrom, kDelta);
+    pool.pushBackgroundOut(dieSite(pool, 0, 0), kFrom, kDelta);
 
     EXPECT_EQ(pool.completionOf(cell), 5000 + kDelta);
     EXPECT_EQ(pool.completionOf(other_plane), 6000 + kDelta);
@@ -246,10 +290,10 @@ TEST(TrackedOps, DieSuspensionExtendsSameDieCellOpsOnly)
 TEST(TrackedOps, ChannelBumpExtendsTransferTailedOpsOnly)
 {
     NandPackagePool pool(smallGeom());
-    FlashOpHandle xfer0 = pool.trackOp(dieAddr(2, 0), 5000, true);
-    FlashOpHandle xfer1 = pool.trackOp(dieAddr(2, 1), 7000, true);
-    FlashOpHandle cell = pool.trackOp(dieAddr(2, 0), 5000, false);
-    FlashOpHandle other_ch = pool.trackOp(dieAddr(3, 0), 5000, true);
+    FlashOpHandle xfer0 = pool.trackOp(dieSite(pool, 2, 0), 5000, true);
+    FlashOpHandle xfer1 = pool.trackOp(dieSite(pool, 2, 1), 7000, true);
+    FlashOpHandle cell = pool.trackOp(dieSite(pool, 2, 0), 5000, false);
+    FlashOpHandle other_ch = pool.trackOp(dieSite(pool, 3, 0), 5000, true);
 
     pool.bumpChannelOps(2, kFrom, kDelta);
 
@@ -262,13 +306,16 @@ TEST(TrackedOps, ChannelBumpExtendsTransferTailedOpsOnly)
 TEST(TrackedOps, OpDoneByFromIsNeverExtended)
 {
     NandPackagePool pool(smallGeom());
-    FlashOpHandle cell_at = pool.trackOp(dieAddr(0, 0), kFrom, false);
-    FlashOpHandle cell_before = pool.trackOp(dieAddr(0, 0), kFrom - 1, false);
-    FlashOpHandle cell_after = pool.trackOp(dieAddr(0, 0), kFrom + 1, false);
-    FlashOpHandle xfer_at = pool.trackOp(dieAddr(0, 0), kFrom, true);
-    FlashOpHandle xfer_after = pool.trackOp(dieAddr(0, 0), kFrom + 1, true);
+    FlashOpHandle cell_at = pool.trackOp(dieSite(pool, 0, 0), kFrom, false);
+    FlashOpHandle cell_before =
+        pool.trackOp(dieSite(pool, 0, 0), kFrom - 1, false);
+    FlashOpHandle cell_after =
+        pool.trackOp(dieSite(pool, 0, 0), kFrom + 1, false);
+    FlashOpHandle xfer_at = pool.trackOp(dieSite(pool, 0, 0), kFrom, true);
+    FlashOpHandle xfer_after =
+        pool.trackOp(dieSite(pool, 0, 0), kFrom + 1, true);
 
-    pool.pushBackgroundOut(dieAddr(0, 0), kFrom, kDelta);
+    pool.pushBackgroundOut(dieSite(pool, 0, 0), kFrom, kDelta);
     pool.bumpChannelOps(0, kFrom, kDelta);
 
     EXPECT_EQ(pool.completionOf(cell_at), kFrom);
@@ -287,10 +334,10 @@ TEST(TrackedOps, ReleaseAnyListPositionKeepsTheOthers)
         NandPackagePool pool(smallGeom());
         FlashOpHandle h[3];
         for (int i = 0; i < 3; ++i)
-            h[i] = pool.trackOp(dieAddr(1, 1), 5000 + 100 * i, false);
+            h[i] = pool.trackOp(dieSite(pool, 1, 1), 5000 + 100 * i, false);
         pool.releaseOp(h[victim]);
         EXPECT_EQ(pool.liveTrackedOps(), 2u);
-        pool.pushBackgroundOut(dieAddr(1, 1), kFrom, kDelta);
+        pool.pushBackgroundOut(dieSite(pool, 1, 1), kFrom, kDelta);
         for (int i = 0; i < 3; ++i) {
             if (i != victim) {
                 EXPECT_EQ(pool.completionOf(h[i]),
@@ -299,10 +346,10 @@ TEST(TrackedOps, ReleaseAnyListPositionKeepsTheOthers)
             }
         }
         // A new op reuses the freed slot without disturbing the list.
-        FlashOpHandle fresh = pool.trackOp(dieAddr(1, 1), 9000, false);
+        FlashOpHandle fresh = pool.trackOp(dieSite(pool, 1, 1), 9000, false);
         EXPECT_EQ(fresh.slot, h[victim].slot);
         EXPECT_NE(fresh.gen, h[victim].gen);
-        pool.pushBackgroundOut(dieAddr(1, 1), kFrom, kDelta);
+        pool.pushBackgroundOut(dieSite(pool, 1, 1), kFrom, kDelta);
         EXPECT_EQ(pool.completionOf(fresh), 9000 + kDelta);
         for (int i = 0; i < 3; ++i)
             if (i != victim)
@@ -362,6 +409,9 @@ TEST(TrackedOps, DifferentialAgainstNaiveRegistry)
     FlashGeometry g = smallGeom();
     g.packagesPerChannel = 2;
     NandPackagePool pool(g);
+    auto siteOf = [&](const FlashAddress& a) {
+        return pool.site(a.parallelUnit(g));
+    };
     std::vector<RefOp> ref;
     Rng rng(0x7ac0ed);
     auto randomAddr = [&] {
@@ -384,8 +434,8 @@ TEST(TrackedOps, DifferentialAgainstNaiveRegistry)
             FlashAddress a = randomAddr();
             bool xfer = rng.chance(0.5);
             Tick completion = rng.below(200000);
-            ref.push_back({pool.trackOp(a, completion, xfer), a, xfer,
-                           completion});
+            ref.push_back({pool.trackOp(siteOf(a), completion, xfer), a,
+                           xfer, completion});
         } else if (kind < 65 && !ref.empty()) {
             std::size_t i = rng.below(ref.size());
             pool.releaseOp(ref[i].handle);
@@ -393,7 +443,7 @@ TEST(TrackedOps, DifferentialAgainstNaiveRegistry)
             ref.pop_back();
         } else if (kind < 82) {
             FlashAddress a = randomAddr();
-            pool.pushBackgroundOut(a, from, delta);
+            pool.pushBackgroundOut(siteOf(a), from, delta);
             for (RefOp& r : ref)
                 if (!r.transferTailed && sameDie(r.addr, a) &&
                     r.completion > from)
@@ -451,6 +501,43 @@ TEST(FilConfig, ZeroGeometryCountIsFatalNamingTheField)
                   std::string("FlashGeometry::") + f.name +
                       " is 0; every flash geometry count must be "
                       "positive");
+    }
+}
+
+TEST(FilConfig, OversizedGeometryIsFatalNamingTheField)
+{
+    // Each geometry overflows at one count. The fatal comes before the
+    // pool sizes anything, so none of these allocates.
+    const struct
+    {
+        const char* name;
+        const char* what;
+        std::uint32_t channels, packages, dies, planes, pages;
+    } cases[] = {
+        {"packagesPerChannel", "die", 1u << 16, 1u << 16, 1, 1, 1},
+        {"diesPerPackage", "die", 1u << 16, 1u << 8, 1u << 8, 1, 1},
+        {"diesPerPackage", "die", 1u << 16, 1, 0xffffu, 1, 1},
+        {"planesPerDie", "plane", 1u << 16, 1, 1u << 8, 1u << 8, 1},
+        {"pagesPerBlock", "page", 1u << 16, 1u << 8, 1u << 4, 1u << 3,
+         1u << 4},
+    };
+    for (const auto& c : cases) {
+        FlashGeometry g = smallGeom();
+        g.channels = c.channels;
+        g.packagesPerChannel = c.packages;
+        g.diesPerPackage = c.dies;
+        g.planesPerDie = c.planes;
+        g.blocksPerPlane = 0x80000000u;
+        g.pagesPerBlock = c.pages;
+        std::string msg = filFatal(g, NandTiming::zNand());
+        EXPECT_EQ(msg.rfind(std::string("FlashGeometry::") + c.name + " = ",
+                            0),
+                  0u)
+            << msg;
+        EXPECT_NE(msg.find(std::string("overflows the ") + c.what +
+                           " count"),
+                  std::string::npos)
+            << msg;
     }
 }
 
